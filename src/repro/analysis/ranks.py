@@ -27,7 +27,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ import numpy as np
 from repro.extrae.trace import Trace
 from repro.folding.model import FoldedCounters, merge_counters
 from repro.folding.report import fold_trace
+from repro.folding.spec import FoldSpec
 from repro.util.tables import format_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -167,13 +168,8 @@ def _fold_one(
     rank: int,
     path: str | None,
     trace: Trace | None,
-    grid_points: int,
-    bandwidth: float,
-    prune_tolerance: float | None,
-    align_regions: tuple[str, ...] | None,
+    spec: FoldSpec,
     cache_dir: str | None,
-    rep_budget: int | None = None,
-    rep_seed: int = 0,
 ) -> RankFold:
     """Fold one rank (top-level for picklability).
 
@@ -182,8 +178,8 @@ def _fold_one(
     trace.  Either way the fold goes through
     :func:`~repro.folding.report.fold_trace` — the PR-3 FoldPlan
     machinery, with the content-addressed cache when *cache_dir* is
-    given.  With *rep_budget* the rank folds only that many
-    representative instances (the extrapolated path); the compact
+    given.  With a ``rep_budget`` in *spec* the rank folds only that
+    many representative instances (the extrapolated path); the compact
     :class:`RankFold` shape is identical either way.
     """
     if trace is None:
@@ -193,28 +189,14 @@ def _fold_one(
         from repro.folding.cache import FoldCache
 
         cache = FoldCache(cache_dir)
-    report = fold_trace(
-        trace,
-        grid_points=grid_points,
-        bandwidth=bandwidth,
-        prune_tolerance=prune_tolerance,
-        align_regions=align_regions,
-        cache=cache,
-        rep_budget=rep_budget,
-        rep_seed=rep_seed,
-    )
-    # The exact report counts kept samples on .samples.n; the
-    # extrapolated fold counts the representative samples it folded.
-    n_folded = (
-        report.samples.n if hasattr(report, "samples") else report.n_folded
-    )
+    report = fold_trace(trace, spec, cache=cache)
     return RankFold(
         rank=rank,
         seed=int(trace.metadata.get("seed", 0)),
         digest=trace.digest(),
         n_instances=report.instances.n,
         mean_instance_ns=float(report.instances.mean_duration_ns),
-        n_folded_samples=n_folded,
+        n_folded_samples=report.n_folded,
         counters=report.counters,
         stats=compute_rank_stats(trace),
     )
@@ -222,14 +204,11 @@ def _fold_one(
 
 def fold_ranks(
     results: Sequence[RankResult],
-    grid_points: int = 201,
-    bandwidth: float = 0.015,
-    prune_tolerance: float | None = 0.5,
-    align_regions: tuple[str, ...] | None = None,
+    spec: FoldSpec | None = None,
+    *,
     max_workers: int | None = None,
     cache=None,
-    rep_budget: int | None = None,
-    rep_seed: int = 0,
+    **fields,
 ) -> list[RankFold]:
     """Fold every rank of a rank-set run (pooled over spill files).
 
@@ -244,19 +223,21 @@ def fold_ranks(
     repeated per-rank folds content-addressed from disk (workers reopen
     the cache directory themselves).
 
-    With *rep_budget* every rank folds only that many representative
-    instances and extrapolates (:mod:`repro.folding.extrapolate`) — the
-    per-rank fold cost scales with the budget instead of the instance
-    count, which multiplies across the whole rank set.
+    Every rank folds by *spec* (default ``FoldSpec()``), with keyword
+    *fields* overriding single spec fields, as in
+    :func:`~repro.folding.report.fold_trace`.  With ``rep_budget``
+    every rank folds only that many representative instances and
+    extrapolates (:mod:`repro.folding.extrapolate`) — the per-rank fold
+    cost scales with the budget instead of the instance count, which
+    multiplies across the whole rank set.
     """
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be positive, got {max_workers}")
+    spec = replace(spec or FoldSpec(), **fields)
     results = list(results)
     if not results:
         return []
     cache_dir = str(cache.directory) if cache is not None else None
-    params = (grid_points, bandwidth, prune_tolerance, align_regions,
-              cache_dir, rep_budget, rep_seed)
     workers = (
         min(max_workers, len(results))
         if max_workers is not None
@@ -271,7 +252,7 @@ def fold_ranks(
                 futures = [
                     pool.submit(
                         _fold_one, r.summary.rank, r.summary.path, None,
-                        *params,
+                        spec, cache_dir,
                     )
                     for r in results
                 ]
@@ -290,7 +271,7 @@ def fold_ranks(
             if (r.trace_loaded or r.summary.path is None)
             else Trace.load(r.summary.path)
         )
-        folds.append(_fold_one(r.summary.rank, None, trace, *params))
+        folds.append(_fold_one(r.summary.rank, None, trace, spec, cache_dir))
     return folds
 
 

@@ -33,6 +33,7 @@ from repro.extrae.storage import TRACE_COMPRESSIONS
 from repro.extrae.trace import TRACE_SCHEMA_VERSIONS, Trace
 from repro.extrae.tracer import TracerConfig
 from repro.folding.report import fold_trace
+from repro.folding.spec import FoldSpec
 from repro.memsim.engines import ENGINE_NAMES
 from repro.objects.resolver import resolve_trace
 from repro.pipeline import SessionConfig, run_workload
@@ -247,9 +248,9 @@ def main_fold(argv: list[str] | None = None) -> int:
     )
     p.add_argument("trace", help="trace file written by bsc-memtools-run")
     p.add_argument("-o", "--output-dir", default="folded")
-    p.add_argument("--bandwidth", type=float, default=0.015,
+    p.add_argument("--bandwidth", type=float, default=FoldSpec.bandwidth,
                    help="kernel smoothing width in normalized time")
-    p.add_argument("--grid", type=int, default=201)
+    p.add_argument("--grid", type=int, default=FoldSpec.grid_points)
     p.add_argument("--align", nargs="*", metavar="REGION", default=None,
                    help="piecewise-align instances on these regions' "
                         "enter events (default regions when given empty)")
@@ -277,7 +278,8 @@ def main_fold(argv: list[str] | None = None) -> int:
                    help="fold only N representative instances (cluster "
                         "medoids) and extrapolate by cluster weight "
                         "(counters.dat only)")
-    p.add_argument("--rep-seed", type=int, default=0, metavar="SEED",
+    p.add_argument("--rep-seed", type=int, default=FoldSpec.rep_seed,
+                   metavar="SEED",
                    help="clustering seed for --reps (default 0)")
     p.add_argument("--rep-report", action="store_true",
                    help="with --reps: also run the exact fold and print "
@@ -289,81 +291,58 @@ def main_fold(argv: list[str] | None = None) -> int:
         align = tuple(args.align) if args.align else (
             "ComputeSYMGS_ref", "ComputeSPMV_ref", "ComputeMG_ref"
         )
+    directions = None
+    if args.directions is not None:
+        directions = tuple(
+            d.strip() for d in args.directions.split(",") if d.strip()
+        )
+    try:
+        spec = FoldSpec(
+            grid_points=args.grid,
+            bandwidth=args.bandwidth,
+            align_regions=align,
+            streaming=args.stream,
+            directions=directions,
+            rep_budget=args.reps,
+            rep_seed=args.rep_seed,
+        )
+    except ValueError as exc:
+        p.error(str(exc))
+    if args.rep_report and spec.rep_budget is None:
+        p.error("--rep-report requires --reps")
+    if not spec.streaming and (
+        args.chunk_rows is not None or args.live_report_every is not None
+    ):
+        p.error("--chunk-rows/--live-report-every require --stream")
     cache = None
     if args.cache or args.cache_dir:
         from repro.folding.cache import FoldCache
 
         cache = FoldCache(args.cache_dir)
-    if args.rep_report and args.reps is None:
-        p.error("--rep-report requires --reps")
-    if args.reps is not None:
-        if args.stream:
-            p.error("--reps already folds sub-linearly (drop --stream)")
-        if align is not None:
-            p.error("--align needs the exact resident fold (drop --reps)")
-        if args.reps < 1:
-            p.error("--reps must be >= 1")
-        trace = Trace.load(args.trace)
-        if args.rep_report:
-            from repro.folding.extrapolate import measure_fidelity
 
-            ext, bound = measure_fidelity(
-                trace, args.reps, seed=args.rep_seed,
-                grid_points=args.grid, bandwidth=args.bandwidth,
-            )
-        else:
-            ext = fold_trace(
-                trace, grid_points=args.grid, bandwidth=args.bandwidth,
-                cache=cache, rep_budget=args.reps, rep_seed=args.rep_seed,
-            )
-        written = ext.export_gnuplot(args.output_dir)
-        print(ext.summary())
-        for path in written:
-            print(f"wrote {path}")
-        return 0
-    if args.stream:
-        if align is not None:
-            p.error("--align needs the resident fold (drop --stream)")
-        from repro.folding.stream import DEFAULT_CHUNK_ROWS, stream_fold_trace
+    def _progress(snapshot):
+        mips = snapshot.mips()
+        print(f"  partial fold: mean MIPS {float(mips.mean()):.1f} "
+              f"over σ grid of {mips.size}")
 
-        def _progress(snapshot):
-            mips = snapshot.mips()
-            print(f"  partial fold: mean MIPS {float(mips.mean()):.1f} "
-                  f"over σ grid of {mips.size}")
+    # Loading is lazy for v2 containers: a streaming fold only ever
+    # materializes O(chunk) column slices.
+    trace = Trace.load(args.trace)
+    if args.rep_report:
+        from repro.folding.extrapolate import measure_fidelity
 
-        directions = None
-        if args.directions:
-            directions = tuple(
-                d.strip() for d in args.directions.split(",") if d.strip()
-            )
-        # Pass the path, not a loaded Trace: the streaming driver then
-        # only ever materializes O(chunk) column slices.
-        streamed = stream_fold_trace(
-            args.trace,
-            chunk_rows=(args.chunk_rows if args.chunk_rows is not None
-                        else DEFAULT_CHUNK_ROWS),
-            grid_points=args.grid,
-            bandwidth=args.bandwidth,
-            cache=cache,
+        fold, _ = measure_fidelity(
+            trace, spec.rep_budget, seed=spec.rep_seed,
+            grid_points=spec.grid_points, bandwidth=spec.bandwidth,
+        )
+    else:
+        fold = fold_trace(
+            trace, spec, cache=cache, chunk_rows=args.chunk_rows,
             report_every=args.live_report_every,
             on_snapshot=_progress if args.live_report_every else None,
-            directions=directions,
         )
-        written = streamed.export_gnuplot(args.output_dir)
-        print(streamed.summary())
-        for path in written:
-            print(f"wrote {path}")
-        return 0
-    if args.chunk_rows is not None or args.live_report_every is not None:
-        p.error("--chunk-rows/--live-report-every require --stream")
-    if args.directions is not None:
-        p.error("--directions requires --stream")
-    trace = Trace.load(args.trace)
-    report = fold_trace(trace, grid_points=args.grid,
-                        bandwidth=args.bandwidth, align_regions=align,
-                        cache=cache)
-    written = report.export_gnuplot(args.output_dir)
-    print(report.summary())
+    written = fold.export_gnuplot(args.output_dir)
+    print(fold.summary())
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -21,6 +21,9 @@ evolution from coarse-grained sampling:
   line executing at each σ;
 * :mod:`repro.folding.report` — the combined three-direction report
   (source code × memory × performance), with gnuplot-style exports;
+* :mod:`repro.folding.spec` — :class:`FoldSpec`, the one value every
+  fold entry builds: fold parameters, their checks and the cache
+  address;
 * :mod:`repro.folding.plan` — :class:`FoldPlan`, the reusable
   trace-dependent half of a fold (sweeps fit many parameter points
   against one plan);
@@ -66,6 +69,7 @@ from repro.folding.plan import FoldPlan
 from repro.folding.report import FoldedReport, fold_trace
 from repro.folding.reps import Representatives, select_representatives
 from repro.folding.signatures import InstanceSignatures, instance_signatures
+from repro.folding.spec import FoldSpec
 from repro.folding.stream import (
     LiveFold,
     StreamedFold,
@@ -86,6 +90,7 @@ __all__ = [
     "FoldCache",
     "FoldInstances",
     "FoldPlan",
+    "FoldSpec",
     "InstanceSignatures",
     "LiveFold",
     "Representatives",

@@ -21,6 +21,7 @@ from repro.folding.detect import FoldInstances
 from repro.folding.fold import FoldedSamples
 from repro.folding.lines import FoldedLines
 from repro.folding.model import FoldedCounters
+from repro.folding.spec import FoldSpec
 from repro.memsim.datasource import DataSource
 from repro.objects.registry import DataObjectRegistry
 
@@ -38,6 +39,20 @@ class FoldedReport:
     addresses: FoldedAddresses
     lines: FoldedLines
     registry: DataObjectRegistry
+
+    # The performance-direction surface every fold product shares
+    # (StreamedFold and ExtrapolatedFold carry these as fields).
+    @property
+    def n_folded(self) -> int:
+        return self.samples.n
+
+    @property
+    def totals(self) -> dict[str, np.ndarray]:
+        return self.samples.totals
+
+    @property
+    def degenerate(self) -> dict[str, np.ndarray]:
+        return self.samples.degenerate
 
     # ------------------------------------------------------------------
     def summary(self) -> str:
@@ -169,143 +184,79 @@ def _write_columns(path: Path, header: str, *columns) -> None:
 
 def fold_trace(
     trace: Trace,
+    spec: FoldSpec | None = None,
+    *,
+    cache=None,
     instances: FoldInstances | None = None,
     registry: DataObjectRegistry | None = None,
-    grid_points: int = 201,
-    bandwidth: float = 0.015,
-    prune_tolerance: float | None = 0.5,
-    align_regions: tuple[str, ...] | None = None,
-    cache=None,
-    streaming: bool = False,
     chunk_rows: int | None = None,
-    directions=None,
     representatives=None,
-    rep_budget: int | None = None,
-    rep_seed: int = 0,
-) -> FoldedReport:
-    """One-call folding of a trace into the three-direction report.
+    report_every: int | None = None,
+    on_snapshot=None,
+    **fields,
+):
+    """One-call folding of a trace into the fold *spec* describes.
 
-    Equivalent to ``FoldPlan.from_trace(...).fold(...)`` — callers that
-    fold the same trace at several parameter points should build the
-    :class:`~repro.folding.plan.FoldPlan` themselves and reuse it.
+    *spec* (default ``FoldSpec()``) fixes what is folded; keyword
+    *fields* override single spec fields, so
+    ``fold_trace(trace, grid_points=101, bandwidth=0.02)`` needs no
+    spec.  The product follows the spec
+    (:class:`~repro.folding.spec.FoldSpec` documents each field):
 
-    Parameters
-    ----------
-    trace:
-        A finalized trace with iteration markers (or pass explicit
-        *instances*).
-    instances:
-        Fold boundaries; default: consecutive iteration markers.
-    registry:
-        Data objects; default: the trace's own object records.
-    prune_tolerance:
-        Relative duration tolerance for instance pruning (None
-        disables pruning).
-    align_regions:
-        When given, project samples with a piecewise control-point
-        warp built from these regions' enter events
-        (:mod:`repro.folding.align`) instead of the linear per-instance
-        projection — robust against intra-instance perturbation.
+    * by default the three-direction :class:`FoldedReport`, equivalent
+      to ``FoldPlan.from_trace(...).fold(...)`` — callers that fold the
+      same trace at several parameter points should build the
+      :class:`~repro.folding.plan.FoldPlan` themselves and reuse it;
+    * with ``streaming=True`` the chunkwise
+      :func:`~repro.folding.stream.stream_fold_trace` in O(chunk +
+      summary) parent memory: the counters-only
+      :class:`~repro.folding.stream.StreamedFold` — curves, totals and
+      degenerate flags bit-identical to the resident report's — or,
+      with *directions*, a
+      :class:`~repro.folding.stream_views.StreamedReport`;
+    * with ``rep_budget=N`` the counters-only
+      :class:`~repro.folding.extrapolate.ExtrapolatedFold`, folded from
+      N representative instances and weight-extrapolated — exact
+      per-instance totals/degenerate flags, approximate curve shape,
+      bit-identical to the exact fold when the budget covers every
+      instance.
+
+    The remaining arguments change how the fold runs, not what it
+    produces:
+
     cache:
         Optional :class:`repro.folding.cache.FoldCache`.  When given,
-        a report previously folded from a bit-identical trace at these
-        exact parameters is returned from disk; otherwise the fresh
-        report is stored before returning.  Only default *instances*
-        and *registry* are cacheable (explicit ones bypass the cache).
-    streaming:
-        Fold chunk by chunk with O(chunk + summary) parent memory
-        instead of materializing the sample table
-        (:func:`repro.folding.stream.stream_fold_trace`).  By default
-        returns the counters-only
-        :class:`~repro.folding.stream.StreamedFold` — curves, totals
-        and degenerate flags bit-identical to the resident report's;
-        with *directions* the streamed address/line products ride
-        along in a
-        :class:`~repro.folding.stream_views.StreamedReport`.
-        Incompatible with explicit *instances* and with
-        *align_regions*.
-    chunk_rows:
-        Rows per streamed chunk (``streaming=True`` only).
-    directions:
-        Fold directions for the streamed report, e.g.
-        ``("counters", "address", "lines")`` (``streaming=True``
-        only); the resident fold always carries all three.
+        a fold previously stored for a bit-identical trace at the same
+        spec is returned from disk; otherwise the fresh fold is stored
+        before returning.  Explicit *instances*, *registry* or
+        *representatives* bypass the cache (the key does not capture
+        them).
+    instances:
+        Fold boundaries; default: consecutive iteration markers.  Not
+        for streaming folds.
+    registry:
+        Data objects; default: the trace's own object records.  For the
+        resident fold, or a streaming fold with the address direction.
+    chunk_rows / report_every / on_snapshot:
+        Streaming folds only: rows per chunk and periodic partial-curve
+        snapshots (see :func:`~repro.folding.stream.stream_fold_trace`).
     representatives:
-        Fold only representative instances and extrapolate.  Pass a
-        prebuilt :class:`~repro.folding.reps.Representatives` selection,
-        or ``True`` to select one here (*rep_budget* instances, seeded
-        by *rep_seed*).  Returns a counters-only
-        :class:`~repro.folding.extrapolate.ExtrapolatedFold` whose
-        curves are weight-extrapolated from the representatives — exact
-        per-instance totals/degenerate flags, approximate curve shape,
-        bit-identical to the exact fold when the budget covers every
-        instance.  Incompatible with *streaming*, *align_regions* and
-        explicit *registry*.
-    rep_budget:
-        Representative budget; implies ``representatives=True``.
-    rep_seed:
-        Clustering seed for the representative selection (part of the
-        cache key).
+        A prebuilt :class:`~repro.folding.reps.Representatives`
+        selection to fold and extrapolate instead of the exact fold.
     """
     from repro.folding.plan import FoldPlan
 
-    if rep_budget is not None and representatives is None:
-        representatives = True
-    if representatives is not None and representatives is not False:
-        from repro.folding.extrapolate import extrapolated_fold
-        from repro.folding.reps import Representatives, select_representatives
-
-        if streaming:
-            raise ValueError(
-                "representative folds are already sub-linear in instances — "
-                "combine with streaming is not supported"
-            )
-        if align_regions is not None or registry is not None:
-            raise ValueError(
-                "representative folds use the linear per-instance projection "
-                "and carry no address view — align_regions/registry need the "
-                "resident fold"
-            )
-        if isinstance(representatives, Representatives):
-            reps = representatives
-            cacheable = False  # the selection is not captured by the key
-        else:
-            if rep_budget is None:
-                raise ValueError(
-                    "representatives=True needs rep_budget (the number of "
-                    "instances to fold)"
-                )
-            reps = select_representatives(
-                trace,
-                instances=instances,
-                budget=rep_budget,
-                seed=rep_seed,
-                prune_tolerance=prune_tolerance,
-            )
-            cacheable = cache is not None and instances is None
-        if cacheable:
-            from repro.folding.extrapolate import ExtrapolatedFold
-
-            key = cache.key(
-                trace,
-                kind="extrapolated",
-                grid_points=grid_points,
-                bandwidth=bandwidth,
-                prune_tolerance=prune_tolerance,
-                rep_budget=rep_budget,
-                rep_seed=rep_seed,
-            )
-            hit = cache.get(key)
-            if isinstance(hit, ExtrapolatedFold):
-                return hit
-        ext = extrapolated_fold(
-            trace, reps, grid_points=grid_points, bandwidth=bandwidth
+    spec = replace(spec or FoldSpec(), **fields)
+    rep_fold = spec.rep_budget is not None or representatives is not None
+    if rep_fold and (
+        registry is not None or spec.streaming or spec.align_regions is not None
+    ):
+        raise ValueError(
+            "representative folds use the linear per-instance projection "
+            "and carry no address view — registry, align_regions and "
+            "streaming need the exact fold"
         )
-        if cacheable:
-            cache.put(key, ext)
-        return ext
-
-    if streaming:
+    if spec.streaming:
         from repro.folding.stream import DEFAULT_CHUNK_ROWS, stream_fold_trace
 
         if instances is not None:
@@ -314,62 +265,76 @@ def fold_trace(
                 "instances need the resident fold"
             )
         if registry is not None and (
-            directions is None or "address" not in tuple(directions)
+            spec.directions is None or "address" not in spec.directions
         ):
             raise ValueError(
                 "an explicit registry only matters to the streamed address "
                 "direction — pass directions including 'address', or use "
                 "the resident fold"
             )
-        if align_regions is not None:
-            raise ValueError(
-                "streaming folds use the linear per-instance projection — "
-                "align_regions needs the resident fold"
-            )
         return stream_fold_trace(
             trace,
+            spec,
             chunk_rows=chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS,
-            grid_points=grid_points,
-            bandwidth=bandwidth,
-            prune_tolerance=prune_tolerance,
             cache=cache,
-            directions=directions,
             registry=registry,
+            report_every=report_every,
+            on_snapshot=on_snapshot,
         )
-    if chunk_rows is not None:
-        raise ValueError("chunk_rows only applies to streaming folds")
-    if directions is not None:
+    if any(arg is not None for arg in (chunk_rows, report_every, on_snapshot)):
         raise ValueError(
-            "directions only applies to streaming folds — the resident "
-            "report always carries all three"
+            "chunk_rows, report_every and on_snapshot only apply to "
+            "streaming folds"
         )
 
-    cacheable = cache is not None and instances is None and registry is None
-    if cacheable:
-        key = cache.key(
-            trace,
-            grid_points=grid_points,
-            bandwidth=bandwidth,
-            prune_tolerance=prune_tolerance,
-            align_regions=align_regions,
-        )
+    key = None
+    # Explicit instances, registry or selection are not part of the key.
+    if cache is not None and all(
+        arg is None for arg in (instances, registry, representatives)
+    ):
+        from repro.folding.extrapolate import ExtrapolatedFold
+
+        kind, params = spec.cache_key()
+        key = cache.key(trace, kind=kind, **params)
         hit = cache.get(key)
-        # A counters-only streamed entry can share this key; the
-        # resident path cannot serve a full report from it, so treat it
-        # as a miss (the fresh full report then overwrites the entry).
-        if isinstance(hit, FoldedReport):
-            # Entries are stored without the (large) input trace; the
-            # caller's live trace is bit-identical by key construction.
-            hit.trace = trace
+        # A counters-only streamed entry can share a resident key; it
+        # cannot serve a full report, so it counts as a miss (the fresh
+        # report then overwrites the entry).
+        if isinstance(hit, ExtrapolatedFold if rep_fold else FoldedReport):
+            if not rep_fold:
+                # Entries are stored without the (large) input trace;
+                # the caller's live trace is bit-identical by key
+                # construction.
+                hit.trace = trace
             return hit
-    plan = FoldPlan.from_trace(
-        trace,
-        instances=instances,
-        registry=registry,
-        prune_tolerance=prune_tolerance,
-        align_regions=align_regions,
-    )
-    report = plan.fold(grid_points=grid_points, bandwidth=bandwidth)
-    if cacheable:
-        cache.put(key, replace(report, trace=None))
-    return report
+    if rep_fold:
+        from repro.folding.extrapolate import extrapolated_fold
+        from repro.folding.reps import select_representatives
+
+        if representatives is None:
+            representatives = select_representatives(
+                trace,
+                instances=instances,
+                budget=spec.rep_budget,
+                seed=spec.rep_seed,
+                prune_tolerance=spec.prune_tolerance,
+            )
+        fold = stored = extrapolated_fold(
+            trace,
+            representatives,
+            grid_points=spec.grid_points,
+            bandwidth=spec.bandwidth,
+        )
+    else:
+        plan = FoldPlan.from_trace(
+            trace,
+            instances=instances,
+            registry=registry,
+            prune_tolerance=spec.prune_tolerance,
+            align_regions=spec.align_regions,
+        )
+        fold = plan.fold(grid_points=spec.grid_points, bandwidth=spec.bandwidth)
+        stored = replace(fold, trace=None)
+    if key is not None:
+        cache.put(key, stored)
+    return fold

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +83,7 @@ from repro.extrae.trace import Trace
 from repro.folding.detect import FoldInstances, instances_from_iterations
 from repro.folding.fold import _inside_mask, boundary_increments
 from repro.folding.model import FoldedCounters, fit_counter_curves
+from repro.folding.spec import FoldSpec, normalize_directions
 from repro.folding.stream_views import (
     LINE_SIGMA_BINS,
     RESERVOIR_CAPACITY,
@@ -472,28 +473,27 @@ class StreamedFold:
 def fold_digest(fold) -> str:
     """Content digest of a fold's performance direction (hex SHA-256).
 
-    Accepts a :class:`StreamedFold` or a resident
-    :class:`~repro.folding.report.FoldedReport`: hashes the fitted
-    curves, the kept-sample count, the instance intervals, and the
-    per-instance totals/degenerate flags.  A streamed fold is correct
-    iff this matches the resident fold of the same trace bit for bit.
+    Accepts any fold product — a :class:`StreamedFold`, a resident
+    :class:`~repro.folding.report.FoldedReport` or an
+    :class:`~repro.folding.extrapolate.ExtrapolatedFold`: hashes the
+    fitted curves, the kept-sample count, the instance intervals, and
+    the per-instance totals/degenerate flags.  A streamed fold is
+    correct iff this matches the resident fold of the same trace bit
+    for bit.
     """
-    samples = getattr(fold, "samples", None)
-    if samples is not None:  # a FoldedReport
-        totals, degenerate, n = samples.totals, samples.degenerate, samples.n
-    else:
-        totals, degenerate, n = fold.totals, fold.degenerate, fold.n_folded
     h = hashlib.sha256()
     h.update(fold.counters.digest().encode())
-    h.update(np.int64(n).tobytes())
+    h.update(np.int64(fold.n_folded).tobytes())
     h.update(
         np.asarray(fold.instances.intervals, dtype=np.float64).tobytes()
     )
-    for name in sorted(totals):
+    for name in sorted(fold.totals):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(totals[name], dtype=np.float64).tobytes())
         h.update(
-            np.asarray(degenerate[name], dtype=bool)
+            np.ascontiguousarray(fold.totals[name], dtype=np.float64).tobytes()
+        )
+        h.update(
+            np.asarray(fold.degenerate[name], dtype=bool)
             .astype(np.uint8)
             .tobytes()
         )
@@ -504,52 +504,22 @@ def fold_digest(fold) -> str:
 # Exact two-pass driver.
 # ---------------------------------------------------------------------------
 
-_KNOWN_DIRECTIONS = ("counters", "address", "lines")
-
-
-def _normalize_directions(directions) -> tuple[str, ...] | None:
-    """Canonical direction tuple, or ``None`` for counters-only.
-
-    ``None`` and ``("counters",)`` both mean the PR-6 counters-only
-    fold (a :class:`StreamedFold`); anything more returns the canonical
-    subset of ``("counters", "address", "lines")`` — counters are
-    always folded, so a :class:`StreamedReport` always has its
-    performance direction.
-    """
-    if directions is None:
-        return None
-    if isinstance(directions, str):
-        directions = (directions,)
-    requested = set(directions)
-    unknown = requested - set(_KNOWN_DIRECTIONS)
-    if unknown:
-        raise ValueError(
-            f"unknown fold directions {sorted(unknown)}; "
-            f"choose from {_KNOWN_DIRECTIONS}"
-        )
-    if requested <= {"counters"}:
-        return None
-    requested.add("counters")
-    return tuple(d for d in _KNOWN_DIRECTIONS if d in requested)
-
 
 def stream_fold_trace(
     source: Trace | str | Path,
+    spec: FoldSpec | None = None,
     *,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    grid_points: int = 201,
-    bandwidth: float = 0.015,
-    prune_tolerance: float | None = 0.5,
     counters: tuple[str, ...] = SAMPLE_COUNTERS,
     cache=None,
     report_every: int | None = None,
     on_snapshot=None,
-    directions=None,
     registry: DataObjectRegistry | None = None,
     reservoir_capacity: int = RESERVOIR_CAPACITY,
     reservoir_seed: int = 0,
     reservoir_weighting: str = "uniform",
     line_sigma_bins: int = LINE_SIGMA_BINS,
+    **fields,
 ) -> StreamedFold | StreamedReport:
     """Fold a trace chunk by chunk — exact, two passes, O(chunk) memory.
 
@@ -567,6 +537,16 @@ def stream_fold_trace(
         A :class:`~repro.extrae.trace.Trace` or a path to a saved
         container.  Passing a path keeps the trace lazy: only the
         sidecar and O(chunk) column slices are ever resident.
+    spec / fields:
+        The :class:`~repro.folding.spec.FoldSpec` to fold (always
+        streamed), with keyword *fields* overriding single spec fields
+        — e.g. ``grid_points``, ``bandwidth``, ``prune_tolerance`` or
+        ``directions``.  ``directions`` ``None`` (or ``("counters",)``)
+        keeps the counters-only :class:`StreamedFold`; any superset —
+        up to ``("counters", "address", "lines")`` — returns a
+        :class:`~repro.folding.stream_views.StreamedReport` whose
+        extra directions were accumulated in the same pass 2, still in
+        O(chunk + summary) memory.
     chunk_rows:
         Rows per streamed chunk.
     cache:
@@ -584,14 +564,6 @@ def stream_fold_trace(
         chunks of the accumulation pass.
     on_snapshot:
         ``callable(FoldedCounters)`` for the periodic snapshots.
-    directions:
-        Which fold directions to stream.  ``None`` (or
-        ``("counters",)``) keeps the counters-only
-        :class:`StreamedFold`; any superset — up to
-        ``("counters", "address", "lines")`` — returns a
-        :class:`~repro.folding.stream_views.StreamedReport` whose
-        extra directions were accumulated in the same pass 2, still in
-        O(chunk + summary) memory.
     registry:
         Object registry for the streamed address direction (default:
         built from the trace's object records, exactly as the resident
@@ -602,49 +574,34 @@ def stream_fold_trace(
     line_sigma_bins:
         σ resolution of the streamed line/region count matrices.
     """
+    spec = replace(spec or FoldSpec(), streaming=True, **fields)
     trace = source if isinstance(source, Trace) else Trace.load(source)
-    dirs = _normalize_directions(directions)
+    dirs = spec.directions
     want_address = dirs is not None and "address" in dirs
     want_lines = dirs is not None and "lines" in dirs
+    if dirs is not None and registry is not None:
+        # An explicit registry is not captured by the key (exactly as
+        # the resident fold treats explicit registries): bypass.
+        cache = None
     key = None
     if cache is not None:
-        if dirs is None:
-            key = cache.key(
-                trace,
-                grid_points=grid_points,
-                bandwidth=bandwidth,
-                prune_tolerance=prune_tolerance,
-                align_regions=None,
-            )
-            hit = cache.get(key)
-            adapted = _adapt_cache_hit(hit)
-            if adapted is not None:
-                return adapted
-        elif registry is not None:
-            # An explicit registry is not captured by the key (exactly
-            # as the resident fold treats explicit registries): bypass.
-            cache = None
-        else:
+        kind, params = spec.cache_key()
+        if kind == "streamed":
             # chunk_rows is deliberately absent: the products are
             # chunk-size-invariant, so any chunking serves any other.
-            key = cache.key(
-                trace,
-                kind="streamed",
-                grid_points=grid_points,
-                bandwidth=bandwidth,
-                prune_tolerance=prune_tolerance,
-                directions=dirs,
+            params.update(
                 reservoir_capacity=reservoir_capacity,
                 reservoir_seed=reservoir_seed,
                 reservoir_weighting=reservoir_weighting,
                 line_sigma_bins=line_sigma_bins,
             )
-            hit = cache.get(key)
-            if isinstance(hit, StreamedReport):
-                return hit
+        key = cache.key(trace, kind=kind, **params)
+        hit = _adapt_cache_hit(cache.get(key), dirs)
+        if hit is not None:
+            return hit
     instances = instances_from_iterations(trace)
-    if prune_tolerance is not None and instances.n >= 3:
-        instances = instances.prune_outliers(prune_tolerance)
+    if spec.prune_tolerance is not None and instances.n >= 3:
+        instances = instances.prune_outliers(spec.prune_tolerance)
     names = ("time_ns", *counters)
     pass1_names = names + (("address",) if want_address else ())
     prologue = build_prologue(
@@ -653,7 +610,9 @@ def stream_fold_trace(
         counters,
         track_address=want_address,
     )
-    acc = StreamingFold(prologue, grid_points=grid_points, bandwidth=bandwidth)
+    acc = StreamingFold(
+        prologue, grid_points=spec.grid_points, bandwidth=spec.bandwidth
+    )
     addr_stream = None
     line_stream = None
     extras: tuple[str, ...] = ()
@@ -710,21 +669,22 @@ def stream_fold_trace(
             lines=line_stream.result() if line_stream is not None else None,
             directions=dirs,
         )
-    if cache is not None:
+    if key is not None:
         cache.put(key, result)
     return result
 
 
-def _adapt_cache_hit(hit) -> StreamedFold | None:
-    """A cache entry as a :class:`StreamedFold`, if it can serve one.
+def _adapt_cache_hit(hit, dirs) -> StreamedFold | StreamedReport | None:
+    """A cache entry as the streamed product for *dirs*, if it can serve.
 
-    Streamed entries pass through; a resident
-    :class:`~repro.folding.report.FoldedReport` stored under the same
-    key is adapted down to its counters-only form.  Anything else is a
-    miss.
+    Multi-direction requests take only a :class:`StreamedReport`.  For
+    counters-only requests streamed entries pass through, and a
+    resident :class:`~repro.folding.report.FoldedReport` stored under
+    the same key is adapted down to its counters-only form.  Anything
+    else is a miss.
     """
-    if hit is None:
-        return None
+    if dirs is not None:
+        return hit if isinstance(hit, StreamedReport) else None
     if isinstance(hit, StreamedFold):
         return hit
     from repro.folding.report import FoldedReport
@@ -733,9 +693,9 @@ def _adapt_cache_hit(hit) -> StreamedFold | None:
         return StreamedFold(
             instances=hit.instances,
             counters=hit.counters,
-            totals=dict(hit.samples.totals),
-            degenerate=dict(hit.samples.degenerate),
-            n_folded=hit.samples.n,
+            totals=dict(hit.totals),
+            degenerate=dict(hit.degenerate),
+            n_folded=hit.n_folded,
         )
     return None
 
@@ -799,7 +759,7 @@ class LiveFold:
         self.grid_points = grid_points
         self.bandwidth = bandwidth
         self._name = name or "iteration"
-        dirs = _normalize_directions(directions)
+        dirs = normalize_directions(directions)
         self._directions = dirs if dirs is not None else ("counters",)
         self._addr: AddressStream | None = None
         self._line: LineStream | None = None

@@ -28,6 +28,7 @@ __all__ = [
     "address_payload",
     "canonical_bytes",
     "counters_payload",
+    "fold_payload",
     "lines_payload",
     "payload_digest",
     "seal",
@@ -70,8 +71,8 @@ def seal(payload: dict) -> dict:
 def counters_payload(fold) -> dict:
     """The performance direction of a fold, as JSON-able curves.
 
-    Accepts anything carrying ``counters``/``instances`` plus
-    per-instance totals — the resident
+    Accepts anything carrying ``counters``/``instances`` plus the
+    folded-sample count ``n_folded`` — the resident
     :class:`~repro.folding.report.FoldedReport`, the
     :class:`~repro.folding.stream.StreamedFold` and the
     :class:`~repro.folding.extrapolate.ExtrapolatedFold` all do (their
@@ -80,16 +81,11 @@ def counters_payload(fold) -> dict:
     path produced it).
     """
     counters = fold.counters
-    samples = getattr(fold, "samples", None)
-    if samples is not None:  # a resident FoldedReport
-        n_folded = int(samples.n)
-    else:
-        n_folded = int(fold.n_folded)
     payload = {
         "version": PAYLOAD_VERSION,
         "direction": "counters",
         "n_instances": int(fold.instances.n),
-        "n_folded": n_folded,
+        "n_folded": int(fold.n_folded),
         "sigma": _floats(counters.sigma),
         "mips": _floats(counters.mips()),
         "ipc": _floats(counters.ipc()),
@@ -179,3 +175,18 @@ def lines_payload(report, max_points: int = 0) -> dict:
             "line_id": _ints(li.line_id[keep]),
         }
     return seal(payload)
+
+
+def fold_payload(fold, direction: str, max_points: int = 0) -> dict:
+    """The *direction* payload of *fold* (``counters``/``address``/``lines``).
+
+    *max_points* bounds the scatter/track rows of the address and lines
+    payloads; the counters payload ignores it.
+    """
+    if direction == "counters":
+        return counters_payload(fold)
+    if direction == "address":
+        return address_payload(fold, max_points=max_points)
+    if direction == "lines":
+        return lines_payload(fold, max_points=max_points)
+    raise ValueError(f"unknown fold direction {direction!r}")

@@ -13,7 +13,7 @@ is how it stays fast under many concurrent clients:
   processes (:func:`~repro.service.work.fold_payload_job`), so fold
   CPU is capped and the loop keeps answering cheap queries.
 * **Request coalescing** — concurrent requests for the same
-  ``(digest, fold parameters)`` await one shared future; the fold is
+  ``(digest, fold spec)`` await one shared future; the fold is
   computed once and fanned out.
 * **Content-addressed caching** — the worker pool shares the on-disk
   :class:`~repro.folding.cache.FoldCache`; the server additionally
@@ -34,7 +34,9 @@ Routes (all ``GET``)::
     /v1/traces/{digest}/fold?direction=counters|address|lines
         [&grid=N][&bandwidth=F][&reps=N][&seed=N][&stream=1][&points=N]
 
-``{digest}`` accepts any unambiguous prefix (>= 4 hex chars).
+``{digest}`` accepts any unambiguous prefix (>= 4 hex chars).  The
+fold query keys map onto one :class:`~repro.folding.spec.FoldSpec`;
+a parameter the spec rejects is a 400.
 """
 
 from __future__ import annotations
@@ -44,25 +46,35 @@ import hashlib
 import json
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.folding.cache import FOLD_CACHE_VERSION, FoldCache
+from repro.folding.spec import DIRECTIONS, FoldSpec
 from repro.repo import RepoError, TraceRepo
 from repro.service.payloads import (
     PAYLOAD_VERSION,
-    address_payload,
     canonical_bytes,
-    counters_payload,
-    lines_payload,
+    fold_payload,
     seal,
 )
 from repro.service.tables import SharedTraceCache
-from repro.service.work import FOLD_DIRECTIONS, fold_cache_params, fold_payload_job
+from repro.service.work import fold_payload_job
 
 __all__ = ["AnalysisServer", "HttpError"]
 
 _JSON = "application/json"
+
+#: Fold query key -> (FoldSpec field, conversion of the query string).
+_SPEC_QUERY = {
+    "grid": ("grid_points", int),
+    "bandwidth": ("bandwidth", float),
+    "stream": ("streaming", lambda v: v not in ("0", "false")),
+    # reps=0 asks for the exact fold, as an absent reps= does
+    "reps": ("rep_budget", lambda v: int(v) or None),
+    "seed": ("rep_seed", int),
+}
 
 
 class HttpError(Exception):
@@ -71,6 +83,37 @@ class HttpError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+def _fold_request(query: dict) -> tuple[str, FoldSpec, int]:
+    """``(direction, spec, points)`` of a fold query, or a 400.
+
+    Query strings are only converted here; the range and combination
+    checks are :class:`FoldSpec`'s, and absent keys keep its defaults.
+    """
+    direction = query.get("direction", "counters")
+    if direction not in DIRECTIONS:
+        raise HttpError(
+            400, f"direction must be one of {DIRECTIONS}, got {direction!r}"
+        )
+    try:
+        spec = FoldSpec(
+            **{
+                field: convert(query[key])
+                for key, (field, convert) in _SPEC_QUERY.items()
+                if key in query
+            }
+        )
+        points = int(query.get("points", 0))
+    except ValueError as exc:
+        raise HttpError(400, f"bad fold parameter: {exc}") from exc
+    if points < 0:
+        raise HttpError(400, f"points must be >= 0, got {points}")
+    if direction != "counters" and (spec.streaming or spec.rep_budget):
+        raise HttpError(
+            400, "stream= and reps= only apply to direction=counters"
+        )
+    return direction, spec, points
 
 
 class _ResponseCache:
@@ -357,14 +400,20 @@ class AnalysisServer:
         )
         return 200, canonical_bytes(payload), {}
 
-    def _query_etag(self, digest: str, what: str, params: dict) -> str:
+    @staticmethod
+    def _fold_etag(
+        digest: str, direction: str, spec: FoldSpec, points: int
+    ) -> str:
+        """Strong validator of one fold payload (also its cache and
+        coalescing key)."""
         blob = json.dumps(
             {
                 "payload_version": PAYLOAD_VERSION,
                 "cache_version": FOLD_CACHE_VERSION,
                 "trace": digest,
-                "what": what,
-                "params": params,
+                "direction": direction,
+                "spec": asdict(spec),
+                "points": points,
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -447,37 +496,12 @@ class AnalysisServer:
         return 200, canonical_bytes(payload), {}
 
     # -- folds (workers + caches + coalescing) -------------------------------
-    @staticmethod
-    def _fold_params(query: dict) -> tuple[str, dict]:
-        direction = query.get("direction", "counters")
-        if direction not in FOLD_DIRECTIONS:
-            raise HttpError(
-                400,
-                f"direction must be one of {FOLD_DIRECTIONS}, got {direction!r}",
-            )
-        try:
-            params = {
-                "grid_points": int(query.get("grid", 201)),
-                "bandwidth": float(query.get("bandwidth", 0.015)),
-                "stream": query.get("stream", "0") not in ("0", "", "false"),
-                "rep_budget": int(query["reps"]) if query.get("reps") else None,
-                "rep_seed": int(query.get("seed", 0)),
-                "max_points": int(query.get("points", 0)),
-            }
-        except ValueError as exc:
-            raise HttpError(400, f"bad fold parameter: {exc}") from exc
-        if params["rep_budget"] and direction != "counters":
-            raise HttpError(400, "reps= only applies to direction=counters")
-        if params["stream"] and direction != "counters":
-            raise HttpError(400, "stream=1 only applies to direction=counters")
-        return direction, params
-
     async def _fold(
         self, digest: str, query: dict, headers: dict
     ) -> tuple[int, bytes, dict]:
         self.counters["fold_requests"] += 1
-        direction, params = self._fold_params(query)
-        etag = self._query_etag(digest, f"fold:{direction}", params)
+        direction, spec, points = _fold_request(query)
+        etag = self._fold_etag(digest, direction, spec, points)
         etag_header = {"etag": f'"{etag}"'}
 
         if_none_match = headers.get("if-none-match", "")
@@ -500,7 +524,7 @@ class AnalysisServer:
         fut: asyncio.Future = loop.create_future()
         self._inflight[etag] = fut
         try:
-            body = await self._compute_fold(digest, direction, params)
+            body = await self._compute_fold(digest, direction, spec, points)
             fut.set_result(body)
         except BaseException as exc:
             if not fut.done():
@@ -513,9 +537,9 @@ class AnalysisServer:
         return 200, body, etag_header
 
     async def _compute_fold(
-        self, digest: str, direction: str, params: dict
+        self, digest: str, direction: str, spec: FoldSpec, points: int
     ) -> bytes:
-        warm = self._warm_fold_payload(digest, direction, params)
+        warm = self._warm_fold_payload(digest, direction, spec, points)
         if warm is not None:
             self.counters["folds_warm_cache"] += 1
             return canonical_bytes(warm)
@@ -526,13 +550,14 @@ class AnalysisServer:
             fold_payload_job,
             str(self.repo.path(digest)),
             direction,
-            params,
+            spec,
+            points,
             str(self.cache_dir),
         )
         return canonical_bytes(payload)
 
     def _warm_fold_payload(
-        self, digest: str, direction: str, params: dict
+        self, digest: str, direction: str, spec: FoldSpec, points: int
     ) -> dict | None:
         """Build the payload from a FoldCache hit, or ``None`` when cold.
 
@@ -542,10 +567,10 @@ class AnalysisServer:
         """
         from repro.folding.report import FoldedReport
 
-        key_params = fold_cache_params(params)
-        kind = key_params.pop("kind")
-        key = self.fold_cache.key_digest(digest, kind=kind, **key_params)
-        hit = self.fold_cache.get(key)
+        kind, params = spec.cache_key()
+        hit = self.fold_cache.get(
+            self.fold_cache.key_digest(digest, kind=kind, **params)
+        )
         if hit is None:
             return None
         if direction != "counters" and not isinstance(hit, FoldedReport):
@@ -554,11 +579,7 @@ class AnalysisServer:
             # anything else must re-fold to keep payloads digest-stable.
             return None
         try:
-            if direction == "counters":
-                return counters_payload(hit)
-            if direction == "address":
-                return address_payload(hit, max_points=params["max_points"])
-            return lines_payload(hit, max_points=params["max_points"])
+            return fold_payload(hit, direction, points)
         except (AttributeError, TypeError, IndexError):
             # The entry under this key cannot serve this direction
             # (e.g. a counters-only streamed fold asked for addresses):

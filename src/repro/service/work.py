@@ -13,89 +13,27 @@ from __future__ import annotations
 
 from repro.folding.cache import FoldCache
 from repro.folding.report import fold_trace
-from repro.service.payloads import (
-    address_payload,
-    counters_payload,
-    lines_payload,
-)
+from repro.folding.spec import FoldSpec
+from repro.service.payloads import fold_payload
 
-__all__ = ["FOLD_DIRECTIONS", "fold_cache_params", "fold_payload_job"]
-
-FOLD_DIRECTIONS = ("counters", "address", "lines")
-
-
-def fold_cache_params(params: dict) -> dict:
-    """The (kind, key-params) pair a fold request addresses in FoldCache.
-
-    Shared between the server (warm-path lookups via
-    :meth:`FoldCache.key_digest`) and this worker (stores via
-    :meth:`FoldCache.key`), so both sides compute identical content
-    addresses — the coherence the warm path rests on.
-    """
-    if params.get("rep_budget"):
-        return {
-            "kind": "extrapolated",
-            "grid_points": params["grid_points"],
-            "bandwidth": params["bandwidth"],
-            "prune_tolerance": 0.5,
-            "rep_budget": params["rep_budget"],
-            "rep_seed": params.get("rep_seed", 0),
-        }
-    return {
-        "kind": "report",
-        "grid_points": params["grid_points"],
-        "bandwidth": params["bandwidth"],
-        "prune_tolerance": 0.5,
-        "align_regions": None,
-    }
+__all__ = ["fold_payload_job"]
 
 
 def fold_payload_job(
-    path: str, direction: str, params: dict, cache_dir: str | None
+    path: str,
+    direction: str,
+    spec: FoldSpec,
+    points: int,
+    cache_dir: str | None,
 ) -> dict:
-    """Fold the container at *path* and build the *direction* payload.
+    """Fold the container at *path* by *spec*; build the *direction* payload.
 
-    Runs in a pool worker.  ``params`` carries ``grid_points``,
-    ``bandwidth`` and optionally ``stream`` (counters only — fold in
-    O(chunk) memory off the file), ``rep_budget``/``rep_seed``
-    (representative-instance extrapolation) and ``max_points``
-    (scatter/track row bound for address/lines payloads).
+    Runs in a pool worker.  *points* bounds the scatter/track rows of
+    address/lines payloads (:func:`~repro.service.payloads.fold_payload`).
     """
     from repro.extrae.trace import Trace
 
     cache = FoldCache(cache_dir) if cache_dir else None
-    grid = int(params.get("grid_points", 201))
-    bandwidth = float(params.get("bandwidth", 0.015))
-    max_points = int(params.get("max_points", 0))
-    rep_budget = params.get("rep_budget")
-
-    if direction == "counters" and rep_budget:
-        with Trace.load(path) as trace:
-            fold = fold_trace(
-                trace,
-                grid_points=grid,
-                bandwidth=bandwidth,
-                cache=cache,
-                rep_budget=int(rep_budget),
-                rep_seed=int(params.get("rep_seed", 0)),
-            )
-            return counters_payload(fold)
-    if direction == "counters" and params.get("stream"):
-        from repro.folding.stream import stream_fold_trace
-
-        fold = stream_fold_trace(
-            path, grid_points=grid, bandwidth=bandwidth, cache=cache
-        )
-        return counters_payload(fold)
-
     with Trace.load(path) as trace:
-        report = fold_trace(
-            trace, grid_points=grid, bandwidth=bandwidth, cache=cache
-        )
-        if direction == "counters":
-            return counters_payload(report)
-        if direction == "address":
-            return address_payload(report, max_points=max_points)
-        if direction == "lines":
-            return lines_payload(report, max_points=max_points)
-    raise ValueError(f"unknown fold direction {direction!r}")
+        fold = fold_trace(trace, spec, cache=cache)
+        return fold_payload(fold, direction, points)

@@ -339,11 +339,16 @@ class TestCacheCli:
 
     def test_fold_cache_flag_populates(self, trace_file, tmp_path, capsys):
         cache_dir = tmp_path / "fc"
-        assert main_fold([str(trace_file), "--cache-dir", str(cache_dir)]) == 0
+        out = str(tmp_path / "out")
+        assert main_fold(
+            [str(trace_file), "-o", out, "--cache-dir", str(cache_dir)]
+        ) == 0
         assert FoldCache(directory=cache_dir).stats().n_entries == 1
         # Second invocation hits the entry and produces the same output.
         first = capsys.readouterr().out
-        assert main_fold([str(trace_file), "--cache-dir", str(cache_dir)]) == 0
+        assert main_fold(
+            [str(trace_file), "-o", out, "--cache-dir", str(cache_dir)]
+        ) == 0
         assert capsys.readouterr().out == first
 
     def test_cache_info(self, tmp_path, capsys):
@@ -353,7 +358,8 @@ class TestCacheCli:
 
     def test_cache_clear(self, trace_file, tmp_path, capsys):
         cache_dir = tmp_path / "fc"
-        main_fold([str(trace_file), "--cache-dir", str(cache_dir)])
+        main_fold([str(trace_file), "-o", str(tmp_path / "out"),
+                   "--cache-dir", str(cache_dir)])
         capsys.readouterr()
         assert main_cache(["clear", "--dir", str(cache_dir)]) == 0
         assert "removed 1" in capsys.readouterr().out
@@ -361,7 +367,8 @@ class TestCacheCli:
 
     def test_cache_prune(self, trace_file, tmp_path, capsys):
         cache_dir = tmp_path / "fc"
-        main_fold([str(trace_file), "--cache-dir", str(cache_dir)])
+        main_fold([str(trace_file), "-o", str(tmp_path / "out"),
+                   "--cache-dir", str(cache_dir)])
         capsys.readouterr()
         assert main_cache(
             ["prune", "--dir", str(cache_dir), "--max-bytes", "1"]

@@ -17,6 +17,7 @@ never alias.
 import numpy as np
 import pytest
 
+from repro.extrae.trace import Trace
 from repro.folding.cache import FoldCache
 from repro.folding.extrapolate import (
     ExtrapolatedFold,
@@ -30,7 +31,7 @@ from repro.folding.reps import (
     select_representatives,
 )
 from repro.folding.stream import fold_digest
-from repro.pipeline import repfold_trace, run_workload
+from repro.pipeline import run_workload
 from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.workloads import HpcgWorkload
 from repro.workloads.stream import StreamConfig, StreamWorkload
@@ -226,13 +227,13 @@ class TestExtrapolation:
         header = written[0].read_text().splitlines()[0]
         assert header.startswith("# sigma mips ipc")
 
-    def test_repfold_trace_from_path(self, trace, tmp_path):
+    def test_rep_fold_from_saved_trace(self, trace, tmp_path):
         path = tmp_path / "t.bsctrace"
         trace.save(path)
-        ext = repfold_trace(path, 2)
+        ext = fold_trace(Trace.load(path), rep_budget=2)
         assert isinstance(ext, ExtrapolatedFold)
         assert ext.fidelity is None
-        measured = repfold_trace(trace, 2, measure=True)
+        measured, _ = measure_fidelity(trace, 2)
         assert measured.fidelity is not None
         assert measured.digest() == ext.digest()
 
@@ -251,9 +252,9 @@ class TestWiringErrors:
         with pytest.raises(ValueError, match="resident fold"):
             fold_trace(trace, rep_budget=2, align_regions=("a",))
 
-    def test_true_without_budget(self, trace):
+    def test_budget_below_one(self, trace):
         with pytest.raises(ValueError, match="rep_budget"):
-            fold_trace(trace, representatives=True)
+            fold_trace(trace, rep_budget=0)
 
 
 class TestCacheKeying:

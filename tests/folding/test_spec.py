@@ -1,0 +1,134 @@
+"""FoldSpec: one checked value behind every fold entry.
+
+Two contracts:
+
+* the spec rejects out-of-range parameters and impossible path
+  combinations on construction, with the error texts the wiring tests
+  match on;
+* every fold entry addresses the FoldCache through the spec, under
+  keys byte-identical to the hand-written keys of FOLD_CACHE_VERSION 2
+  — pinned here as literal digests, so an existing cache stays warm.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.folding.cache import FOLD_CACHE_VERSION, FoldCache
+from repro.folding.report import fold_trace
+from repro.folding.spec import FoldSpec
+from repro.folding.stream import stream_fold_trace
+
+from tests.folding.test_cache import stream_trace
+
+#: Stand-in trace digest, so the pins do not depend on the simulator.
+DIGEST = "0123456789abcdef" * 4
+THREE = ("counters", "address", "lines")
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return stream_trace()
+
+
+class TestChecks:
+    def test_defaults(self):
+        spec = FoldSpec()
+        assert (spec.grid_points, spec.bandwidth, spec.prune_tolerance) == (
+            201, 0.015, 0.5
+        )
+        assert not spec.streaming and spec.rep_budget is None
+
+    @pytest.mark.parametrize("fields, match", [
+        (dict(bandwidth=float("nan")), "bandwidth"),
+        (dict(bandwidth=float("inf")), "bandwidth"),
+        (dict(bandwidth=0.0), "bandwidth"),
+        (dict(bandwidth=-1.0), "bandwidth"),
+        (dict(grid_points=1), "grid_points"),
+        (dict(grid_points=-5), "grid_points"),
+        (dict(rep_budget=0), "budget"),
+        (dict(rep_budget=2, rep_seed=-1), "rep_seed"),
+        (dict(directions=THREE), "streaming"),
+        (dict(streaming=True, directions=("bogus",)), "bogus"),
+        (dict(rep_budget=2, streaming=True), "streaming"),
+        (dict(rep_budget=2, align_regions=("a",)), "resident fold"),
+        (dict(streaming=True, align_regions=("a",)), "resident fold"),
+    ])
+    def test_rejects(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            FoldSpec(**fields)
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ValueError, match="bandwidth"):
+            replace(FoldSpec(), bandwidth=float("nan"))
+
+    def test_normalizes(self):
+        spec = FoldSpec(align_regions=["b", "a"])
+        assert spec.align_regions == ("b", "a")
+        assert FoldSpec(streaming=True, directions=("counters",)).directions is None
+        assert FoldSpec(streaming=True, directions="lines").directions == (
+            "counters", "lines"
+        )
+
+    def test_frozen_and_hashable(self):
+        spec = FoldSpec(grid_points=101)
+        with pytest.raises(AttributeError):
+            spec.grid_points = 5
+        assert {spec: 1}[FoldSpec(grid_points=101)] == 1
+
+
+class _KeyRecorder(FoldCache):
+    """Records the keys a fold entry derives, then stops the fold."""
+
+    class Taken(Exception):
+        pass
+
+    def __init__(self, tmp_path):
+        super().__init__(directory=tmp_path)
+        self.keys = []
+
+    def key(self, trace, *, kind="report", **params):
+        key = self.key_digest(DIGEST, kind=kind, **params)
+        self.keys.append(key)
+        return key
+
+    def get(self, key):
+        raise self.Taken
+
+
+#: Keys the hand-written cache.key blocks of FOLD_CACHE_VERSION 2
+#: derived for DIGEST; every entry below must still address these.
+RESIDENT = "eb63ab709041d8797c663b91c378b0936f5a216075685691dfa22ba6e4e53836"
+PINNED = [
+    (lambda t, c: fold_trace(t, cache=c), RESIDENT),
+    (lambda t, c: fold_trace(t, grid_points=101, cache=c),
+     "e19ad81a63b7546d980ac82d2d275a7e18d2027f268ccd602ddcc7a1d4e29e69"),
+    (lambda t, c: fold_trace(t, bandwidth=0.03, cache=c),
+     "13a962e0009ca36d726a417d2e5816780e939f384f9e588e48da815f6d767e9e"),
+    (lambda t, c: fold_trace(t, align_regions=("triad",), cache=c),
+     "31804361a14b3ea4eb57b13ac53ebf0cca105bb4237d745892e83db8fb1ea54c"),
+    (lambda t, c: fold_trace(t, rep_budget=3, rep_seed=7, cache=c),
+     "f459b497c9ebc5e27f66110fec958f27a38d88afaedc3483f38048e5e219be6d"),
+    (lambda t, c: stream_fold_trace(t, cache=c), RESIDENT),
+    (lambda t, c: fold_trace(t, streaming=True, cache=c), RESIDENT),
+    (lambda t, c: stream_fold_trace(t, directions=THREE, cache=c),
+     "ae39ca4c1864e7e7de420925a534d9bd8b6995de2d8690c444feacfdbc2ff284"),
+    (lambda t, c: fold_trace(t, streaming=True, directions=THREE, cache=c),
+     "ae39ca4c1864e7e7de420925a534d9bd8b6995de2d8690c444feacfdbc2ff284"),
+]
+
+
+class TestCacheKeys:
+    def test_cache_version_unchanged(self):
+        assert FOLD_CACHE_VERSION == 2
+
+    @pytest.mark.parametrize("entry, pinned", PINNED, ids=[
+        "resident", "grid", "bandwidth", "align", "reps_seed",
+        "streamed_counters", "fold_trace_streamed_counters",
+        "streamed_three", "fold_trace_streamed_three",
+    ])
+    def test_entry_keys_are_pinned(self, trace, tmp_path, entry, pinned):
+        recorder = _KeyRecorder(tmp_path)
+        with pytest.raises(_KeyRecorder.Taken):
+            entry(trace, recorder)
+        assert recorder.keys == [pinned]

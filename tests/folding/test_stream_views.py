@@ -34,7 +34,7 @@ from repro.folding.stream_views import (
     sketch_from_scatter,
 )
 from repro.objects.registry import DataObjectRegistry
-from repro.pipeline import SessionConfig, run_workload, streamfold_trace
+from repro.pipeline import SessionConfig, run_workload
 from repro.workloads import HpcgWorkload
 from repro.workloads.stream import StreamConfig, StreamWorkload
 from tests.conftest import sampler_session_config, small_hpcg_config
@@ -309,10 +309,6 @@ class TestApiWiring:
             trace, streaming=True, chunk_rows=333, directions=DIRECTIONS
         )
         assert isinstance(report, StreamedReport)
-        assert report.digest() == streamed.digest()
-
-    def test_pipeline_face(self, trace, streamed):
-        report = streamfold_trace(trace, chunk_rows=333, directions=DIRECTIONS)
         assert report.digest() == streamed.digest()
 
     def test_counters_only_stays_streamed_fold(self, trace):

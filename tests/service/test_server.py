@@ -159,6 +159,21 @@ class TestFoldEndpoint:
             client.fold(entry.digest, "address", reps=2)
         assert exc.value.status == 400
 
+    @pytest.mark.parametrize("query", [
+        "bandwidth=nan", "bandwidth=inf", "bandwidth=0", "bandwidth=-1",
+        "grid=0", "grid=1", "grid=-5", "reps=-1", "reps=2&seed=-1",
+        "stream=1&reps=2", "direction=address&points=-3",
+    ])
+    def test_bad_fold_parameters_are_400(self, served, client, query):
+        server, entry = served
+        before = server.fold_cache.stats().n_entries
+        status, _headers, _body = client.get(
+            f"/v1/traces/{entry.digest}/fold?{query}"
+        )
+        assert status == 400
+        assert server.fold_cache.stats().n_entries == before
+        assert client.healthz() == {"ok": True}
+
     def test_etag_revalidation_yields_304(self, served):
         server, entry = served
         with ServiceClient("127.0.0.1", server.port) as c:

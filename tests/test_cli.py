@@ -99,6 +99,23 @@ class TestFold:
         captured = capsys.readouterr()
         assert "Folded report" in captured.out
 
+    @pytest.mark.parametrize("flags", [
+        ["--bandwidth", "nan"],
+        ["--bandwidth", "inf"],
+        ["--bandwidth", "0"],
+        ["--grid", "1"],
+        ["--reps", "0"],
+        ["--reps", "2", "--rep-seed", "-1"],
+        ["--chunk-rows", "64"],
+    ], ids=" ".join)
+    def test_rejects_bad_fold_parameters(self, tmp_path, flags):
+        # Rejected before the trace is opened, so no trace is needed.
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main_fold([str(tmp_path / "t.bsctrace"), "-o", str(out), *flags])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestReport:
     def test_prints_analysis(self, trace_file, capsys):
