@@ -9,8 +9,9 @@ tiers of the folding fast path plus the export rewrite:
   :class:`~repro.folding.plan.FoldPlan` vs 10 independent cold folds;
 * **report cache** — memo-tier and disk-tier hit latency of
   :class:`~repro.folding.cache.FoldCache` vs the cold fold;
-* **gnuplot export** — the column-wise ``export_gnuplot`` vs a
-  per-row ``f.write`` reference (the pre-fast-path implementation);
+* **gnuplot export** — ``export_gnuplot`` (the block writer of
+  :mod:`repro.folding.export`) vs :func:`export_rowwise`, the per-row
+  f-string reference, whose files it must equal byte for byte;
 * **parallel sweep** — :func:`repro.parallel.fold_sweep` serial vs
   process pool.
 
@@ -19,9 +20,11 @@ Results go to ``benchmarks/results/BENCH_fold.json``.  Run it directly
 
     PYTHONPATH=src python benchmarks/perf/bench_fold.py
 
-``--min-warm-speedup X`` / ``--min-cache-speedup X`` make the exit
-status enforce plan-reuse and cache-hit floors, which CI uses as cheap
-perf-regression tripwires.
+``--min-warm-speedup X`` / ``--min-cache-speedup X`` /
+``--min-export-speedup X`` make the exit status enforce plan-reuse,
+cache-hit and export floors, which CI uses as cheap perf-regression
+tripwires.  A byte difference between the export and its reference
+always fails.
 """
 
 from __future__ import annotations
@@ -34,8 +37,11 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.extrae.tracer import TracerConfig
 from repro.folding.cache import FoldCache
+from repro.folding.lines import FoldedLines
 from repro.folding.plan import FoldPlan
 from repro.folding.report import fold_trace
 from repro.memsim.datasource import DataSource
@@ -128,55 +134,105 @@ def bench_cache(trace, repeats: int, cold_fold: float) -> dict:
     }
 
 
-def _export_rowwise(report, directory: Path) -> None:
-    """Pre-fast-path reference: one formatted ``f.write`` per row."""
-    li = report.lines
-    with (directory / "codeline.dat").open("w") as f:
-        f.write("# sigma line_id function file line\n")
-        for i in range(li.n):
-            fn, file, line = li.line_of(i)
-            f.write(f"{li.sigma[i]:.6f} {int(li.line_id[i])} {fn} {file} {line}\n")
-    a = report.addresses
-    with (directory / "addresses.dat").open("w") as f:
-        f.write("# sigma address op source latency object\n")
-        for i in range(a.n):
-            obj = (
-                report.registry.records[int(a.object_index[i])].name
-                if a.object_index[i] >= 0
-                else "-"
-            )
-            f.write(
-                f"{a.sigma[i]:.6f} {int(a.address[i]):#x} {int(a.op[i])} "
-                f"{DataSource(int(a.source[i])).pretty} {a.latency[i]:.1f} {obj}\n"
-            )
+def export_rowwise(report, directory: str | Path) -> list[Path]:
+    """Per-row reference of every file ``report.export_gnuplot`` writes.
+
+    One f-string and one ``write`` per row, as the exporter did before
+    the block writer of :mod:`repro.folding.export`; the files must be
+    byte-identical.  Covers every fold product: the resident report, a
+    streamed report and the counters-only folds.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    written = []
+
+    def create(name):
+        written.append(directory / name)
+        return written[-1].open("w", encoding="utf-8", newline="\n")
+
     c = report.counters
     mips, ipc = c.mips(), c.ipc()
     rates = {
         name: c.per_instruction(name)
         for name in ("branches", "l1d_misses", "l2_misses", "l3_misses")
     }
-    with (directory / "counters.dat").open("w") as f:
+    with create("counters.dat") as f:
         f.write("# sigma mips ipc " + " ".join(rates) + "\n")
         for i, s in enumerate(c.sigma):
             cols = " ".join(f"{rates[name][i]:.6f}" for name in rates)
             f.write(f"{s:.6f} {mips[i]:.1f} {ipc[i]:.4f} {cols}\n")
 
+    li = getattr(report, "lines", None)
+    if isinstance(li, FoldedLines):
+        with create("codeline.dat") as f:
+            f.write("# sigma line_id function file line\n")
+            for i in range(li.n):
+                fn, file, line = li.line_of(i)
+                f.write(f"{li.sigma[i]:.6f} {int(li.line_id[i])} {fn} {file} {line}\n")
+    elif li is not None:
+        with create("codeline_density.dat") as f:
+            f.write("# line_id function file line "
+                    + " ".join(f"s{j}" for j in range(li.sigma_bins)) + "\n")
+            for i, (fn, file, line) in enumerate(li.line_table):
+                counts = " ".join(str(int(n)) for n in li.line_counts[i])
+                f.write(f"{i} {fn} {file} {line} {counts}\n")
+
+    a = getattr(report, "addresses", None)
+    if a is None:
+        return written
+    records = report.registry.records
+    # The file prints the int64 value of an address.
+    address = np.asarray(a.address).astype(np.int64)
+    with create("addresses.dat") as f:
+        f.write("# sigma address op source latency object\n")
+        for i in range(a.n):
+            index = int(a.object_index[i])
+            obj = records[index].name if index >= 0 else "-"
+            f.write(
+                f"{a.sigma[i]:.6f} {int(address[i]):#x} {int(a.op[i])} "
+                f"{DataSource(int(a.source[i])).pretty} {a.latency[i]:.1f} {obj}\n"
+            )
+    sketch = getattr(a, "sketch", None)
+    if sketch is not None:
+        edges = sketch.band_edges()
+        with create("address_density.dat") as f:
+            f.write("# band_lo band_hi "
+                    + " ".join(f"s{j}" for j in range(sketch.sigma_bins)) + "\n")
+            for b in range(sketch.bands):
+                counts = " ".join(str(int(n)) for n in sketch.counts[b])
+                f.write(f"{int(edges[b]):#x} {int(edges[b + 1]):#x} {counts}\n")
+    with create("objects.dat") as f:
+        f.write("# name kind start end bytes_user\n")
+        for rec in records:
+            f.write(f"{rec.name} {rec.kind} {rec.start:#x} {rec.end:#x} "
+                    f"{rec.bytes_user}\n")
+        for band in a.bands:
+            f.write(f"{band.label} band {band.lo:#x} {band.hi:#x} 0\n")
+    return written
+
+
+def same_files(written: list[Path], reference: list[Path]) -> bool:
+    """Whether two exports wrote the same file names with equal bytes."""
+    ours = {p.name: p for p in written}
+    theirs = {p.name: p for p in reference}
+    return ours.keys() == theirs.keys() and all(
+        ours[name].read_bytes() == theirs[name].read_bytes() for name in ours
+    )
+
 
 def bench_export(report, repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        col_dir, row_dir = Path(tmp) / "col", Path(tmp) / "row"
-        row_dir.mkdir()
-        columnwise = best_of(repeats, lambda: report.export_gnuplot(col_dir))
-        rowwise = best_of(repeats, lambda: _export_rowwise(report, row_dir))
-        identical = all(
-            (col_dir / name).read_text() == (row_dir / name).read_text()
-            for name in ("codeline.dat", "addresses.dat", "counters.dat")
+        block_dir, row_dir = Path(tmp) / "block", Path(tmp) / "row"
+        block = best_of(repeats, lambda: report.export_gnuplot(block_dir))
+        rowwise = best_of(repeats, lambda: export_rowwise(report, row_dir))
+        identical = same_files(
+            report.export_gnuplot(block_dir), export_rowwise(report, row_dir)
         )
     return {
         "rows": report.addresses.n + report.lines.n + report.counters.sigma.size,
         "rowwise_seconds": round(rowwise, 4),
-        "columnwise_seconds": round(columnwise, 4),
-        "speedup": round(rowwise / columnwise, 2),
+        "export_seconds": round(block, 4),
+        "speedup": round(rowwise / block, 2),
         "output_identical": identical,
     }
 
@@ -207,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--min-cache-speedup", type=float, default=0.0,
                    help="fail unless a cache hit beats a cold fold by this "
                         "factor")
+    p.add_argument("--min-export-speedup", type=float, default=0.0,
+                   help="fail unless export_gnuplot beats the per-row "
+                        "reference by this factor")
     p.add_argument("-o", "--output", default=str(RESULTS / "BENCH_fold.json"))
     args = p.parse_args(argv)
 
@@ -244,8 +303,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: cache-hit speedup {hit}x "
               f"< required {args.min_cache_speedup}x", file=sys.stderr)
         failed = True
+    export = out_report["export_gnuplot"]["speedup"]
+    if args.min_export_speedup and export < args.min_export_speedup:
+        print(f"FAIL: export speedup {export}x "
+              f"< required {args.min_export_speedup}x", file=sys.stderr)
+        failed = True
     if not out_report["export_gnuplot"]["output_identical"]:
-        print("FAIL: column-wise export differs from row-wise reference",
+        print("FAIL: export_gnuplot differs from the per-row reference",
               file=sys.stderr)
         failed = True
     return 1 if failed else 0

@@ -703,6 +703,14 @@ def main_serve(argv: list[str] | None = None) -> int:
 
     async def _serve():
         await server.start()
+        # SIGTERM takes the SIGINT path: stop() shuts the fold pool down,
+        # so no worker outlives the server.  Only the main thread of a
+        # Unix event loop can take signal handlers (tests serve from
+        # other threads).
+        with contextlib.suppress(NotImplementedError, RuntimeError):
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, server.request_stop
+            )
         print(f"serving {repo.root} on http://{server.host}:{server.port} "
               f"({server.workers} fold workers)", flush=True)
         try:
@@ -711,6 +719,8 @@ def main_serve(argv: list[str] | None = None) -> int:
             await server.stop()
 
     import asyncio
+    import contextlib
+    import signal
 
     try:
         asyncio.run(_serve())

@@ -21,6 +21,8 @@ evolution from coarse-grained sampling:
   line executing at each σ;
 * :mod:`repro.folding.report` — the combined three-direction report
   (source code × memory × performance), with gnuplot-style exports;
+* :mod:`repro.folding.export` — the one text writer behind every
+  gnuplot panel export, byte-stable by contract;
 * :mod:`repro.folding.spec` — :class:`FoldSpec`, the one value every
   fold entry builds: fold parameters, their checks and the cache
   address;

@@ -22,10 +22,9 @@ from repro.folding.fold import FoldedSamples
 from repro.folding.lines import FoldedLines
 from repro.folding.model import FoldedCounters
 from repro.folding.spec import FoldSpec
-from repro.memsim.datasource import DataSource
 from repro.objects.registry import DataObjectRegistry
 
-__all__ = ["FoldedReport", "export_counters_dat", "fold_trace"]
+__all__ = ["FoldedReport", "fold_trace"]
 
 
 @dataclass
@@ -73,113 +72,27 @@ class FoldedReport:
     def export_gnuplot(self, directory: str | Path) -> list[Path]:
         """Write the three panels as whitespace-separated data files.
 
-        * ``codeline.dat`` — σ, line-id, file, line
+        * ``codeline.dat`` — σ, line-id, function, file, line
         * ``addresses.dat`` — σ, address, op, source, latency, object
         * ``counters.dat`` — σ, MIPS, IPC, per-instruction rates
+        * ``objects.dat`` — registry records plus annotation bands
 
-        Rows are assembled column-wise: each column is formatted in one
-        vectorized pass and the file written as a single join, instead
-        of one ``f.write`` per row (``bench_fold.py`` tracks the delta).
+        Every file goes through the block writer of
+        :mod:`repro.folding.export`; its number formats are the file
+        contract of ``docs/trace-format.md``.
         """
+        # Imported here: processes that never export (acquisition, the
+        # service) skip the writer's import.
+        from repro.folding import export
+
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        written = []
-
-        path = directory / "codeline.dat"
-        li = self.lines
-        ids = np.asarray(li.line_id, dtype=np.int64)
-        table_cols = [
-            np.array([str(t[j]) for t in li.line_table], dtype=object)
-            for j in range(3)
+        return [
+            export.export_codeline_dat(self.lines, directory),
+            export.export_addresses_dat(self.addresses, self.registry, directory),
+            export.export_counters_dat(self.counters, directory),
+            export.export_objects_dat(self.registry, self.addresses.bands, directory),
         ]
-        _write_columns(
-            path,
-            "# sigma line_id function file line",
-            _fmt_float(li.sigma, 6),
-            _fmt_int(li.line_id),
-            *(col[ids].tolist() if li.n else [] for col in table_cols),
-        )
-        written.append(path)
-
-        path = directory / "addresses.dat"
-        a = self.addresses
-        # Index -1 (unmatched) picks the trailing "-" sentinel.
-        names = np.array(
-            [rec.name for rec in self.registry.records] + ["-"], dtype=object
-        )
-        src_uniq, src_inv = np.unique(a.source, return_inverse=True)
-        src_pretty = np.array(
-            [DataSource(int(s)).pretty for s in src_uniq], dtype=object
-        )
-        _write_columns(
-            path,
-            "# sigma address op source latency object",
-            _fmt_float(a.sigma, 6),
-            _fmt_hex(a.address),
-            _fmt_int(a.op),
-            src_pretty[src_inv].tolist() if a.n else [],
-            _fmt_float(a.latency, 1),
-            names[a.object_index].tolist() if a.n else [],
-        )
-        written.append(path)
-
-        written.append(export_counters_dat(self.counters, directory))
-
-        path = directory / "objects.dat"
-        rows = [
-            f"{rec.name} {rec.kind} {rec.start:#x} {rec.end:#x} {rec.bytes_user}"
-            for rec in self.registry.records
-        ]
-        rows += [
-            f"{band.label} band {band.lo:#x} {band.hi:#x} 0"
-            for band in self.addresses.bands
-        ]
-        path.write_text("\n".join(["# name kind start end bytes_user", *rows]) + "\n")
-        written.append(path)
-        return written
-
-
-def export_counters_dat(counters: FoldedCounters, directory: str | Path) -> Path:
-    """Write the performance panel (``counters.dat``) of *counters*.
-
-    Shared by the resident report and the streamed fold
-    (:class:`~repro.folding.stream.StreamedFold`), so both paths emit
-    byte-identical files from identical curves.
-    """
-    directory = Path(directory)
-    path = directory / "counters.dat"
-    rates = {
-        name: counters.per_instruction(name)
-        for name in ("branches", "l1d_misses", "l2_misses", "l3_misses")
-    }
-    _write_columns(
-        path,
-        "# sigma mips ipc " + " ".join(rates),
-        _fmt_float(counters.sigma, 6),
-        _fmt_float(counters.mips(), 1),
-        _fmt_float(counters.ipc(), 4),
-        *(_fmt_float(rates[name], 6) for name in rates),
-    )
-    return path
-
-
-def _fmt_float(values: np.ndarray, decimals: int) -> np.ndarray:
-    """Format a float column in one vectorized pass."""
-    return np.char.mod(f"%.{decimals}f", np.asarray(values, dtype=np.float64))
-
-
-def _fmt_int(values: np.ndarray) -> list[str]:
-    return [str(v) for v in np.asarray(values).astype(np.int64).tolist()]
-
-
-def _fmt_hex(values: np.ndarray) -> list[str]:
-    return [hex(v) for v in np.asarray(values).astype(np.int64).tolist()]
-
-
-def _write_columns(path: Path, header: str, *columns) -> None:
-    """Write ``header`` plus space-joined *columns* as one text blob."""
-    rows = map(" ".join, zip(*columns))
-    path.write_text("\n".join([header, *rows]) + "\n")
 
 
 def fold_trace(

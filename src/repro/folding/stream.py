@@ -463,7 +463,7 @@ class StreamedFold:
 
     def export_gnuplot(self, directory: str | Path) -> list[Path]:
         """Write the performance panel (``counters.dat``) only."""
-        from repro.folding.report import export_counters_dat
+        from repro.folding.export import export_counters_dat
 
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)

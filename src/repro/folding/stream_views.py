@@ -835,89 +835,25 @@ class StreamedReport:
         * ``counters.dat`` — identical to the resident export
         * ``addresses.dat`` — the reservoir points, resident columns
         * ``address_density.dat`` — the sketch (band lo/hi × σ-bin)
-        * ``codeline_density.dat`` — per-line σ-bin counts
         * ``objects.dat`` — registry records plus annotation bands
+        * ``codeline_density.dat`` — per-line σ-bin counts
+
+        Every file goes through the block writer of
+        :mod:`repro.folding.export`.
         """
-        from repro.folding.report import (
-            _fmt_float,
-            _fmt_hex,
-            _fmt_int,
-            _write_columns,
-            export_counters_dat,
-        )
+        from repro.folding import export
 
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        written = [export_counters_dat(self.counters, directory)]
-
-        if self.addresses is not None:
-            a = self.addresses
-            path = directory / "addresses.dat"
-            names = np.array(
-                [rec.name for rec in a.registry.records] + ["-"], dtype=object
-            )
-            if a.n:
-                src_uniq, src_inv = np.unique(a.source, return_inverse=True)
-                src_pretty = np.array(
-                    [DataSource(int(s)).pretty for s in src_uniq], dtype=object
-                )
-                source_col = src_pretty[src_inv].tolist()
-            else:
-                source_col = []
-            _write_columns(
-                path,
-                "# sigma address op source latency object",
-                _fmt_float(a.sigma, 6),
-                _fmt_hex(a.address),
-                _fmt_int(a.op),
-                source_col,
-                _fmt_float(a.latency, 1),
-                names[a.object_index].tolist() if a.n else [],
-            )
-            written.append(path)
-
-            sketch = a.sketch
-            if sketch is not None:
-                path = directory / "address_density.dat"
-                edges = sketch.band_edges()
-                rows = ["# band_lo band_hi " + " ".join(
-                    f"s{j}" for j in range(sketch.sigma_bins)
-                )]
-                for b in range(sketch.bands):
-                    counts = " ".join(str(int(c)) for c in sketch.counts[b])
-                    rows.append(
-                        f"{int(edges[b]):#x} {int(edges[b + 1]):#x} {counts}"
-                    )
-                path.write_text("\n".join(rows) + "\n")
-                written.append(path)
-
-            path = directory / "objects.dat"
-            obj_rows = [
-                f"{rec.name} {rec.kind} {rec.start:#x} {rec.end:#x} "
-                f"{rec.bytes_user}"
-                for rec in a.registry.records
-            ]
-            obj_rows += [
-                f"{band.label} band {band.lo:#x} {band.hi:#x} 0"
-                for band in a.bands
-            ]
-            path.write_text(
-                "\n".join(["# name kind start end bytes_user", *obj_rows])
-                + "\n"
-            )
-            written.append(path)
-
+        written = [export.export_counters_dat(self.counters, directory)]
+        a = self.addresses
+        if a is not None:
+            written.append(export.export_addresses_dat(a, a.registry, directory))
+            if a.sketch is not None:
+                written.append(export.export_address_density_dat(a.sketch, directory))
+            written.append(export.export_objects_dat(a.registry, a.bands, directory))
         if self.lines is not None:
-            li = self.lines
-            path = directory / "codeline_density.dat"
-            rows = ["# line_id function file line " + " ".join(
-                f"s{j}" for j in range(li.sigma_bins)
-            )]
-            for i, (function, file, line) in enumerate(li.line_table):
-                counts = " ".join(str(int(c)) for c in li.line_counts[i])
-                rows.append(f"{i} {function} {file} {line} {counts}")
-            path.write_text("\n".join(rows) + "\n")
-            written.append(path)
+            written.append(export.export_codeline_density_dat(self.lines, directory))
         return written
 
 

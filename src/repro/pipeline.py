@@ -22,6 +22,7 @@ from repro.analysis.figures import Figure1, build_figure1
 from repro.extrae.trace import Trace
 from repro.extrae.tracer import Tracer, TracerConfig
 from repro.folding.report import FoldedReport, fold_trace
+from repro.folding.spec import FoldSpec
 from repro.memsim.engines import ENGINE_NAMES, make_engine
 from repro.memsim.hierarchy import HierarchyConfig
 from repro.simproc.calibration import MachineCalibration
@@ -167,29 +168,37 @@ def publish_trace(trace, repo_root=None, *, extra_meta: dict | None = None):
 
 def analyze_hpcg(
     trace: Trace,
-    bandwidth: float = 0.015,
-    grid_points: int = 201,
+    spec: FoldSpec | None = None,
+    *,
     cache=None,
+    **fields,
 ) -> tuple[FoldedReport, Figure1]:
     """Fold an HPCG trace and run the full §III analysis.
 
+    The fold follows *spec* (default ``FoldSpec()``), with keyword
+    *fields* overriding single spec fields, as in
+    :func:`~repro.folding.report.fold_trace`.  The analysis reads the
+    resident report, so the spec may neither stream nor extrapolate.
     Pass a :class:`repro.folding.cache.FoldCache` as *cache* to serve
     repeated analyses of the same trace from disk.
     """
-    report = fold_trace(
-        trace, grid_points=grid_points, bandwidth=bandwidth, cache=cache
-    )
+    spec = replace(spec or FoldSpec(), **fields)
+    if spec.streaming or spec.rep_budget is not None:
+        raise ValueError(
+            "the Figure-1 analysis needs the resident report — "
+            "streaming and rep_budget do not apply"
+        )
+    report = fold_trace(trace, spec, cache=cache)
     return report, build_figure1(report)
 
 
 def analyze_hpcg_ranks(
     results,
-    bandwidth: float = 0.015,
-    grid_points: int = 201,
+    spec: FoldSpec | None = None,
+    *,
     max_workers: int | None = None,
     cache=None,
-    rep_budget: int | None = None,
-    rep_seed: int = 0,
+    **fields,
 ):
     """Cluster-level §III analysis over a full rank-set run.
 
@@ -203,28 +212,22 @@ def analyze_hpcg_ranks(
     interior rank's :class:`~repro.folding.report.FoldedReport` and
     :class:`~repro.analysis.figures.Figure1`.
 
-    With *rep_budget* each rank folds only that many representative
-    instances (extrapolated, seeded by *rep_seed*); the interior rank's
-    single-task report stays exact.
+    Every rank folds by *spec* (default ``FoldSpec()``), with keyword
+    *fields* overriding single spec fields.  With ``rep_budget`` each
+    rank folds only that many representative instances (extrapolated,
+    seeded by ``rep_seed``); the interior rank's single-task report
+    stays exact.
     """
     from repro.analysis.ranks import build_cluster_report, fold_ranks
 
     results = list(results)
     if not results:
         raise ValueError("cannot analyze zero ranks")
-    folds = fold_ranks(
-        results,
-        grid_points=grid_points,
-        bandwidth=bandwidth,
-        max_workers=max_workers,
-        cache=cache,
-        rep_budget=rep_budget,
-        rep_seed=rep_seed,
-    )
+    spec = replace(spec or FoldSpec(), **fields)
+    folds = fold_ranks(results, spec, max_workers=max_workers, cache=cache)
     cluster = build_cluster_report(folds)
     interior = results[len(results) // 2]
     report, figure = analyze_hpcg(
-        interior.trace, bandwidth=bandwidth, grid_points=grid_points,
-        cache=cache,
+        interior.trace, replace(spec, rep_budget=None), cache=cache
     )
     return cluster, report, figure

@@ -261,6 +261,18 @@ class TestAnalyzeHpcgRanks:
         interior = rank_results[len(rank_results) // 2]
         assert report.trace.digest() == interior.summary.digest
 
+    def test_spec_with_rep_budget_keeps_interior_exact(self, rank_results):
+        from repro.folding.spec import FoldSpec
+        from repro.folding.stream import fold_digest
+        from repro.pipeline import analyze_hpcg, analyze_hpcg_ranks
+
+        spec = FoldSpec(grid_points=101, rep_budget=2)
+        cluster, report, _ = analyze_hpcg_ranks(rank_results, spec, max_workers=1)
+        assert cluster.n_ranks == 4
+        interior = rank_results[len(rank_results) // 2]
+        exact, _ = analyze_hpcg(interior.trace, grid_points=101)
+        assert fold_digest(report) == fold_digest(exact)
+
     def test_rejects_empty(self):
         from repro.pipeline import analyze_hpcg_ranks
 

@@ -1,5 +1,8 @@
 """Tests for the command-line tools."""
 
+import contextlib
+import sys
+
 import pytest
 
 from repro.cli import (
@@ -476,3 +479,68 @@ class TestServeCli:
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert result.get("rc") == 0
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="reads fold worker pids from /proc/<pid>/task/*/children",
+    )
+    def test_sigterm_stops_server_and_fold_worker(self, trace_file, tmp_path):
+        """SIGTERM takes the SIGINT path: exit 0, no orphaned worker."""
+        import os
+        import select
+        import signal
+        import subprocess
+        import time
+        from pathlib import Path
+
+        import repro
+        from repro.cli import main_repo
+        from repro.service import ServiceClient
+
+        root = str(tmp_path / "repo")
+        assert main_repo(["--root", root, "put", str(trace_file)]) == 0
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--root", root,
+             "--port", "0", "--workers", "1"],
+            stdout=subprocess.PIPE, env=env,
+        )
+        workers = []
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            line = proc.stdout.readline().decode() if ready else ""
+            assert "http://" in line, line
+            port = int(line.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
+            with ServiceClient("127.0.0.1", port, timeout=60) as client:
+                digest = client.traces()["traces"][0]["digest"]
+                assert client.fold(digest, "counters")["direction"] == "counters"
+                assert client.stats()["counters"]["folds_cold"] == 1
+            for task in Path(f"/proc/{proc.pid}/task").iterdir():
+                with contextlib.suppress(OSError):
+                    workers += [int(p) for p in (task / "children").read_text().split()]
+            assert workers, "the cold fold started no worker process"
+
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers)), "a fold worker outlived the server"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """True while *pid* exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False

@@ -70,3 +70,17 @@ class TestAnalyzeHpcg:
         report, figure = analyze_hpcg(trace)
         assert figure.phases.major_sequence() == ["A", "B", "C", "D", "E"]
         assert report.samples.n > 0
+
+    def test_spec_or_fields(self, hpcg_trace):
+        from repro.folding.spec import FoldSpec
+        from repro.folding.stream import fold_digest
+
+        by_spec, _ = analyze_hpcg(hpcg_trace, FoldSpec(bandwidth=0.02, grid_points=101))
+        by_fields, _ = analyze_hpcg(hpcg_trace, bandwidth=0.02, grid_points=101)
+        assert fold_digest(by_spec) == fold_digest(by_fields)
+        assert by_spec.counters.sigma.size == 101
+
+    @pytest.mark.parametrize("fields", [{"streaming": True}, {"rep_budget": 2}])
+    def test_rejects_non_resident_specs(self, hpcg_trace, fields):
+        with pytest.raises(ValueError, match="resident"):
+            analyze_hpcg(hpcg_trace, **fields)
