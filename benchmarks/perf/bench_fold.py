@@ -11,9 +11,7 @@ tiers of the folding fast path plus the export rewrite:
   :class:`~repro.folding.cache.FoldCache` vs the cold fold;
 * **gnuplot export** — ``export_gnuplot`` (the block writer of
   :mod:`repro.folding.export`) vs :func:`export_rowwise`, the per-row
-  f-string reference, whose files it must equal byte for byte;
-* **parallel sweep** — :func:`repro.parallel.fold_sweep` serial vs
-  process pool.
+  f-string reference, whose files it must equal byte for byte.
 
 Results go to ``benchmarks/results/BENCH_fold.json``.  Run it directly
 (it is a script, not a pytest module — see README, "Benchmarks"):
@@ -45,7 +43,6 @@ from repro.folding.lines import FoldedLines
 from repro.folding.plan import FoldPlan
 from repro.folding.report import fold_trace
 from repro.memsim.datasource import DataSource
-from repro.parallel import fold_sweep
 from repro.pipeline import SessionConfig, run_workload
 from repro.workloads.stream import StreamConfig, StreamWorkload
 
@@ -237,22 +234,6 @@ def bench_export(report, repeats: int) -> dict:
     }
 
 
-def bench_parallel_sweep(trace) -> dict:
-    t0 = time.perf_counter()
-    fold_sweep(trace, bandwidths=BANDWIDTHS, max_workers=1)
-    serial = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    fold_sweep(trace, bandwidths=BANDWIDTHS)
-    parallel = time.perf_counter() - t0
-    return {
-        "sweep_points": len(BANDWIDTHS),
-        "cpu_count": os.cpu_count(),
-        "serial_seconds": round(serial, 3),
-        "parallel_seconds": round(parallel, 3),
-        "speedup": round(serial / parallel, 2),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--repeats", type=int, default=3,
@@ -276,6 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     report = fold_trace(trace)
 
     out_report = {
+        "cpu_count": os.cpu_count(),
         "workload": f"STREAM n={STREAM_N}, {ITERATIONS} iterations, "
                     f"sampling period {LOAD_PERIOD} -> "
                     f"{trace.n_samples} memory samples",
@@ -284,7 +266,6 @@ def main(argv: list[str] | None = None) -> int:
         "plan_reuse": bench_plan_reuse(trace, args.repeats, cold),
         "cache": bench_cache(trace, args.repeats, cold),
         "export_gnuplot": bench_export(report, args.repeats),
-        "parallel_sweep": bench_parallel_sweep(trace),
     }
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -7,9 +7,9 @@ This module adds what the single-task view cannot show — how the other
 * :func:`fold_ranks` — fold **every** rank's trace through the PR-3
   fast path (one :class:`~repro.folding.plan.FoldPlan` per rank, the
   content-addressed :class:`~repro.folding.cache.FoldCache` honored),
-  pooled ``fold_sweep``-style over the spill files so each worker loads
-  its rank's trace itself and only a compact :class:`RankFold` crosses
-  back — the parent never holds any rank's sample table;
+  pooled over the spill files so each worker loads its rank's trace
+  itself and only a compact :class:`RankFold` crosses back — the
+  parent never holds any rank's sample table;
 * :func:`build_cluster_report` — merge the per-rank folded counter
   curves into an instance-weighted cluster curve
   (:func:`repro.folding.model.merge_counters`) and derive per-rank

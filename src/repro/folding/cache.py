@@ -30,13 +30,12 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.extrae.trace import Trace
+from repro.util.staging import staged, sweep_staging
 
 __all__ = ["FOLD_CACHE_VERSION", "FoldCache"]
 
@@ -191,25 +190,18 @@ class FoldCache:
     def put(self, key: str, report) -> Path:
         """Store *report* under *key* (atomic), then enforce the bound.
 
-        The pickle is staged to a private temp file and published with
-        one ``os.replace`` — concurrent readers of the same key see
-        either the previous complete entry or the new complete entry,
-        never a torn pickle, and concurrent writers of the same key
-        are last-writer-wins (both wrote identical bits: the key is a
-        content address).  A writer dying inside the window leaves the
-        published entry untouched; its staging file is swept by
-        :meth:`prune`/:meth:`clear`.
+        The pickle is published by :func:`~repro.util.staging.staged`
+        — concurrent readers of the same key see either the previous
+        complete entry or the new complete entry, never a torn pickle,
+        and concurrent writers of the same key are last-writer-wins
+        (both wrote identical bits: the key is a content address).  A
+        writer dying inside the window leaves the published entry
+        untouched; its staging file is swept by :meth:`prune`/:meth:`clear`.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(report, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
+        with staged(path) as staging, staging.open("wb") as f:
+            pickle.dump(report, f, protocol=pickle.HIGHEST_PROTOCOL)
         self._memoize(key, _rewrap(report))
         self.prune()
         return path
@@ -272,30 +264,7 @@ class FoldCache:
             if total > bound:
                 path.unlink(missing_ok=True)
                 removed += 1
-        self._sweep_stale_tmp()
-        return removed
-
-    def _sweep_stale_tmp(self, min_age_s: float = 3600.0) -> int:
-        """Delete ``.tmp`` staging files older than *min_age_s*.
-
-        The age guard keeps the sweep from racing a live writer that is
-        mid-``pickle.dump``; an hour-old staging file belongs to a
-        process that crashed in its write window.
-        """
-        if not self.directory.is_dir():
-            return 0
-        removed = 0
-        now = time.time()
-        for p in self.directory.iterdir():
-            if p.suffix != ".tmp":
-                continue
-            try:
-                if now - p.stat().st_mtime < min_age_s:
-                    continue
-            except OSError:
-                continue
-            p.unlink(missing_ok=True)
-            removed += 1
+        sweep_staging(self.directory)
         return removed
 
     def clear(self) -> int:
@@ -308,7 +277,7 @@ class FoldCache:
         entries = self._entries()
         for path in entries:
             path.unlink(missing_ok=True)
-        self._sweep_stale_tmp(min_age_s=0.0)
+        sweep_staging(self.directory, min_age_s=0.0)
         return len(entries)
 
 

@@ -9,10 +9,9 @@ traffic is modeled inside each rank's stream (see
 ``HpcgWorkload._halo_exchange``) because only the *addresses* of halo
 data matter to the memory analysis, not the values.
 
-:mod:`repro.parallel.sweeps` reuses the same pool machinery for fold
-parameter sweeps (bandwidth/grid points against one shared
-:class:`~repro.folding.plan.FoldPlan` per worker) and seed-stability
-sweeps.
+:mod:`repro.parallel.sweeps` holds fold parameter sweeps (bandwidth/grid
+points against one shared :class:`~repro.folding.plan.FoldPlan`) and
+seed-stability sweeps, which reuse the rank pool machinery.
 """
 
 from repro.parallel.ranks import (

@@ -32,7 +32,6 @@ import os
 import pickle
 import shutil
 import tempfile
-import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -120,24 +119,6 @@ class RankResult:
     def trace_loaded(self) -> bool:
         """Whether the trace has been materialized in this process."""
         return self._trace is not None
-
-    @property
-    def session(self) -> Session:
-        """Deprecated: an equivalently wired session for this rank.
-
-        Results no longer carry the worker's live session (that is the
-        point of the spill pipeline).  This shim rebuilds a session from
-        the rank's derived configuration — same seed, same wiring — but
-        its tracer holds a fresh empty trace, not the run's; use
-        ``result.trace`` for the data.
-        """
-        warnings.warn(
-            "RankResult.session is deprecated: results carry a RankSummary "
-            "and a lazily loaded trace; use result.trace / result.summary",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return Session(self.summary.config)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.summary.path or "in-memory"

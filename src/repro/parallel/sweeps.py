@@ -1,22 +1,22 @@
 """Parameter sweeps over the folding fast path.
 
 Folding a trace at many (grid, bandwidth) points — e.g. the kernel
-ablation in :mod:`benchmarks` or a seed-stability study — is
-embarrassingly parallel: the expensive trace-dependent work is shared
-(one :class:`~repro.folding.plan.FoldPlan` per trace), and each point
-is an independent fit.  :func:`fold_sweep` ships the trace to each
-worker **once** (pre-pickled in the parent, delivered through the pool
-initializer), builds the plan there, and folds that worker's share of
-points against it; :func:`seed_sweep` runs a workload at several seeds
-and folds each resulting trace.
+ablation in :mod:`benchmarks` or a seed-stability study — shares the
+expensive trace-dependent work: :func:`fold_sweep` builds one
+:class:`~repro.folding.plan.FoldPlan` and folds every point against it
+in-process (a process pool ran at 0.12–0.19x of this loop on 2 cores,
+for 10 bandwidths on a 60k-sample trace).
+:func:`seed_sweep` runs a workload at several seeds and folds each
+resulting trace; each seed is a whole simulation, so seeds run in a
+process pool.
 
-Both functions reuse the serial-fallback discipline of
+:func:`seed_sweep` reuses the serial-fallback discipline of
 :class:`~repro.parallel.ranks.RankSet`: one worker, an unpicklable
-input, or a sandbox that cannot spawn processes all fall back to a
+factory, or a sandbox that cannot spawn processes all fall back to a
 sequential in-process loop producing bit-identical results, and the
-fallback reason is logged on the ``repro.parallel`` logger.  Inputs are
-pickled exactly once — the picklability probe's output *is* the payload
-the workers receive.
+fallback reason is logged on the ``repro.parallel`` logger.  The
+factory is pickled exactly once — the picklability probe's output *is*
+the payload the workers receive.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.extrae.trace import Trace
@@ -62,55 +62,19 @@ class SeedResult:
     report: FoldedReport
 
 
-# Per-worker state: the plan is built once per worker process by the
-# pool initializer and reused for every point that worker folds.
-_WORKER_PLAN: FoldPlan | None = None
-
-
-def _init_fold_worker(
-    trace_bytes: bytes,
-    prune_tolerance: float | None,
-    align_regions: tuple[str, ...] | None,
-) -> None:
-    global _WORKER_PLAN
-    _WORKER_PLAN = FoldPlan.from_trace(
-        pickle.loads(trace_bytes),
-        prune_tolerance=prune_tolerance,
-        align_regions=align_regions,
-    )
-
-
-def _fold_point(point: SweepPoint) -> FoldedReport:
-    report = _WORKER_PLAN.fold(
-        grid_points=point.grid_points, bandwidth=point.bandwidth
-    )
-    # The caller already holds the trace; don't pickle it back per point.
-    return replace(report, trace=None)
-
-
 def fold_sweep(
     trace: Trace,
     bandwidths: Sequence[float] = (0.015,),
     grid_points: Sequence[int] = (201,),
     prune_tolerance: float | None = 0.5,
     align_regions: tuple[str, ...] | None = None,
-    max_workers: int | None = None,
 ) -> list[SweepResult]:
     """Fold *trace* at every (grid, bandwidth) combination.
 
     Points are the cross product ``grid_points × bandwidths`` in that
-    nesting order, and results come back in point order regardless of
-    execution order.  With more than one worker the trace is pickled
-    once, crosses to each worker through the pool initializer, and
-    every worker reuses one plan; with one worker (or an unpicklable
-    trace, or no spawnable pool) the same points are folded serially
-    against a single in-process plan — same reports either way.
-
-    ``max_workers=None`` picks ``min(n_points, cpu_count)``; ``1``
-    forces the serial path.
+    nesting order, and results come back in point order, all folded
+    against one :class:`~repro.folding.plan.FoldPlan` of *trace*.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be positive, got {max_workers}")
     points = [
         SweepPoint(grid_points=g, bandwidth=b)
         for g in grid_points
@@ -118,34 +82,6 @@ def fold_sweep(
     ]
     if not points:
         return []
-    workers = (
-        min(max_workers, len(points))
-        if max_workers is not None
-        else min(len(points), os.cpu_count() or 1)
-    )
-    if workers > 1 and len(points) > 1:
-        trace_bytes = _pickled_or_none(trace)
-        if trace_bytes is None:
-            logger.info("fold_sweep fallback: trace is not picklable")
-        else:
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_fold_worker,
-                    initargs=(trace_bytes, prune_tolerance, align_regions),
-                ) as pool:
-                    futures = [pool.submit(_fold_point, p) for p in points]
-                    reports = [f.result() for f in futures]
-                for report in reports:
-                    report.trace = trace
-                return [SweepResult(p, r) for p, r in zip(points, reports)]
-            except (pickle.PicklingError, BrokenProcessPool, OSError) as exc:
-                # Pool unavailable (e.g. a sandbox forbids spawning):
-                # redo the identical computation serially.
-                logger.info(
-                    "fold_sweep fallback: process pool unavailable "
-                    "(%s: %s)", type(exc).__name__, exc,
-                )
     plan = FoldPlan.from_trace(
         trace, prune_tolerance=prune_tolerance, align_regions=align_regions
     )

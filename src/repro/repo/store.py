@@ -38,13 +38,13 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import tempfile
 import time
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.extrae.trace import Trace
+from repro.util.staging import staged, sweep_staging
 
 __all__ = ["RepoEntry", "RepoError", "TraceRepo", "default_repo_root"]
 
@@ -147,14 +147,8 @@ class TraceRepo:
         entry_dir.mkdir(parents=True, exist_ok=True)
         container = entry_dir / _CONTAINER
         if not container.exists():
-            fd, tmp = tempfile.mkstemp(dir=entry_dir, suffix=".staging")
-            os.close(fd)
-            try:
-                trace.save(tmp, version=2, compression="none")
-                os.replace(tmp, container)
-            except BaseException:
-                Path(tmp).unlink(missing_ok=True)
-                raise
+            with staged(container) as staging:
+                trace.save(staging, version=2, compression="none")
         meta = self._build_meta(trace, digest)
         if extra_meta:
             meta.update(extra_meta)
@@ -261,18 +255,10 @@ class TraceRepo:
         one that renamed the container but not yet ``meta.json`` shows
         up with sidecar-synthesized metadata.
         """
-        objects = self._objects_dir()
-        if not objects.is_dir():
-            return []
         entries = []
-        for shard in sorted(objects.iterdir()):
-            if not shard.is_dir() or len(shard.name) != 2:
-                continue
-            for rest in sorted(shard.iterdir()):
-                container = rest / _CONTAINER
-                if not container.exists():
-                    continue
-                digest = shard.name + rest.name
+        for digest, entry_dir in self._entry_dirs():
+            container = entry_dir / _CONTAINER
+            if container.exists():
                 entries.append(
                     RepoEntry(
                         digest=digest,
@@ -281,6 +267,17 @@ class TraceRepo:
                     )
                 )
         return entries
+
+    def _entry_dirs(self):
+        """``(digest, directory)`` of every entry directory, digest-sorted,
+        including directories whose container was never published."""
+        objects = self._objects_dir()
+        if not objects.is_dir():
+            return
+        for shard in sorted(objects.iterdir()):
+            if shard.is_dir() and len(shard.name) == 2:
+                for rest in sorted(shard.iterdir()):
+                    yield shard.name + rest.name, rest
 
     def index(self) -> dict:
         """The run index (``index.json``), rebuilt if missing."""
@@ -295,7 +292,12 @@ class TraceRepo:
 
         The rewrite is atomic (temp + rename); concurrent reindexes
         are last-writer-wins over full-scan snapshots, so the index
-        converges to the true directory state.
+        converges to the true directory state.  Staging files that
+        writers killed mid-publish left in the root or in an entry
+        directory are swept once they are
+        :data:`~repro.util.staging.STALE_AFTER_S` old — including the
+        lone container staging file of a first ``put`` that never
+        published, which no listing shows.
         """
         entries = self.list()
         index = {
@@ -306,6 +308,9 @@ class TraceRepo:
         if self.root.is_dir() or entries:
             self.root.mkdir(parents=True, exist_ok=True)
             _atomic_json(self.root / _INDEX, index)
+        sweep_staging(self.root)
+        for _digest, entry_dir in self._entry_dirs():
+            sweep_staging(entry_dir)
         return index
 
     # -- remove --------------------------------------------------------------
@@ -340,12 +345,6 @@ class TraceRepo:
 
 
 def _atomic_json(path: Path, payload: dict) -> None:
-    """Publish *payload* at *path* via temp file + atomic rename."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".staging")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+    """Publish *payload* at *path* (staged, then one atomic rename)."""
+    with staged(path) as staging:
+        staging.write_text(json.dumps(payload, indent=2, sort_keys=True))

@@ -8,19 +8,21 @@ is how it stays fast under many concurrent clients:
 * **Shared memory maps** — every open trace is held once in a
   refcounted LRU (:class:`~repro.service.tables.SharedTraceCache`);
   all in-flight requests against a digest read the same ``mmap``.
-* **Bounded fold workers** — cold folds never run on the event loop:
-  they are dispatched to a ``ProcessPoolExecutor`` of ``workers``
-  processes (:func:`~repro.service.work.fold_payload_job`), so fold
-  CPU is capped and the loop keeps answering cheap queries.
+* **Bounded fold workers** — fold bodies are never built on the event
+  loop: every response-cache miss goes to a ``ProcessPoolExecutor`` of
+  ``workers`` processes (:func:`~repro.service.work.fold_payload_job`,
+  which answers from the on-disk
+  :class:`~repro.folding.cache.FoldCache` or folds), so fold CPU and
+  decoded reports stay in the workers and the loop keeps answering
+  cheap queries.  A pool broken by a dead worker is replaced, and its
+  requests answer ``503``.
 * **Request coalescing** — concurrent requests for the same
   ``(digest, fold spec)`` await one shared future; the fold is
   computed once and fanned out.
-* **Content-addressed caching** — the worker pool shares the on-disk
-  :class:`~repro.folding.cache.FoldCache`; the server additionally
-  checks it in-loop so a warm fold is answered without touching the
-  pool, keeps an LRU of serialized response bodies, and stamps every
-  payload response with a strong ``ETag`` so revalidating clients get
-  ``304 Not Modified`` with no body at all.
+* **Content-addressed caching** — the loop keeps an LRU of serialized
+  response bodies and stamps every payload response with a strong
+  ``ETag``, so revalidating clients get ``304 Not Modified`` with no
+  body at all.
 
 Routes (all ``GET``)::
 
@@ -44,8 +46,10 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import logging
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
@@ -53,18 +57,15 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from repro.folding.cache import FOLD_CACHE_VERSION, FoldCache
 from repro.folding.spec import DIRECTIONS, FoldSpec
 from repro.repo import RepoError, TraceRepo
-from repro.service.payloads import (
-    PAYLOAD_VERSION,
-    canonical_bytes,
-    fold_payload,
-    seal,
-)
+from repro.service.payloads import PAYLOAD_VERSION, canonical_bytes, seal
 from repro.service.tables import SharedTraceCache
 from repro.service.work import fold_payload_job
 
 __all__ = ["AnalysisServer", "HttpError"]
 
 _JSON = "application/json"
+
+logger = logging.getLogger("repro.service")
 
 #: Fold query key -> (FoldSpec field, conversion of the query string).
 _SPEC_QUERY = {
@@ -246,6 +247,11 @@ class AnalysisServer:
                 ).split("\r\n")
                 parts = request_line.split()
                 if len(parts) != 3:
+                    self.counters["errors"] += 1
+                    body = canonical_bytes(
+                        {"error": "malformed request line", "status": 400}
+                    )
+                    await self._write_response(writer, 400, body, {}, False)
                     return
                 method, target, _version = parts
                 headers = {}
@@ -290,6 +296,7 @@ class AnalysisServer:
             404: "Not Found",
             405: "Method Not Allowed",
             500: "Internal Server Error",
+            503: "Service Unavailable",
         }.get(status, "OK")
         lines = [
             f"HTTP/1.1 {status} {reason}",
@@ -323,11 +330,12 @@ class AnalysisServer:
             self.counters["errors"] += 1
             body = canonical_bytes({"error": str(exc), "status": 404})
             return 404, body, {}
-        except Exception as exc:  # noqa: BLE001 - boundary: report, don't die
+        except Exception:  # noqa: BLE001 - boundary: report, don't die
+            # The traceback goes to the log; the client learns nothing
+            # of paths or internals.
+            logger.exception("internal error serving %s %s", method, target)
             self.counters["errors"] += 1
-            body = canonical_bytes(
-                {"error": f"{type(exc).__name__}: {exc}", "status": 500}
-            )
+            body = canonical_bytes({"error": "internal error", "status": 500})
             return 500, body, {}
 
     async def _route(
@@ -539,49 +547,27 @@ class AnalysisServer:
     async def _compute_fold(
         self, digest: str, direction: str, spec: FoldSpec, points: int
     ) -> bytes:
-        warm = self._warm_fold_payload(digest, direction, spec, points)
-        if warm is not None:
-            self.counters["folds_warm_cache"] += 1
-            return canonical_bytes(warm)
-        self.counters["folds_cold"] += 1
         loop = asyncio.get_running_loop()
-        payload = await loop.run_in_executor(
-            self._pool,
-            fold_payload_job,
-            str(self.repo.path(digest)),
-            direction,
-            spec,
-            points,
-            str(self.cache_dir),
-        )
-        return canonical_bytes(payload)
-
-    def _warm_fold_payload(
-        self, digest: str, direction: str, spec: FoldSpec, points: int
-    ) -> dict | None:
-        """Build the payload from a FoldCache hit, or ``None`` when cold.
-
-        The disk cache is shared with the worker pool, so any fold any
-        worker (or a previous server, or the batch CLI) computed for
-        this content address serves here without touching the pool.
-        """
-        from repro.folding.report import FoldedReport
-
-        kind, params = spec.cache_key()
-        hit = self.fold_cache.get(
-            self.fold_cache.key_digest(digest, kind=kind, **params)
-        )
-        if hit is None:
-            return None
-        if direction != "counters" and not isinstance(hit, FoldedReport):
-            # Only the resident report reproduces the exact address and
-            # line payloads (streamed entries carry reservoir subsets);
-            # anything else must re-fold to keep payloads digest-stable.
-            return None
+        pool = self._pool
         try:
-            return fold_payload(hit, direction, points)
-        except (AttributeError, TypeError, IndexError):
-            # The entry under this key cannot serve this direction
-            # (e.g. a counters-only streamed fold asked for addresses):
-            # fall through to a real fold.
-            return None
+            body, folded = await loop.run_in_executor(
+                pool,
+                fold_payload_job,
+                str(self.repo.path(digest)),
+                digest,
+                direction,
+                spec,
+                points,
+                str(self.cache_dir),
+            )
+        except BrokenProcessPool as exc:
+            # A dead worker fails every job of its pool; only the first
+            # failure to arrive still finds that pool installed, so the
+            # pool is replaced once, not once per job.
+            if self._pool is pool:
+                logger.warning("fold worker died; starting a new fold pool")
+                pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            raise HttpError(503, "fold worker died; retry the request") from exc
+        self.counters["folds_cold" if folded else "folds_warm_cache"] += 1
+        return body

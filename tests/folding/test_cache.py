@@ -16,6 +16,7 @@ from repro.folding.cache import FoldCache
 from repro.folding.plan import FoldPlan
 from repro.folding.report import fold_trace
 from repro.pipeline import SessionConfig, run_workload
+from repro.util.staging import STAGING_SUFFIX
 from repro.workloads.stream import StreamConfig, StreamWorkload
 
 from tests.folding.test_plan import assert_reports_identical
@@ -182,9 +183,10 @@ class TestConcurrentCache:
         with mock.patch("os.replace", crash_before_publish):
             with pytest.raises(OSError, match="simulated"):
                 crashed.put(key, report)
-        # mkstemp cleanup is attempted on failure; even if a stale .tmp
-        # survived a harder crash, it must not masquerade as an entry.
-        (cache.directory / "deadbeef.tmp").write_bytes(b"torn pick")
+        # the staging file is unlinked on failure; even if one survived
+        # a harder crash, it must not masquerade as an entry.
+        assert not list(cache.directory.glob(f"*{STAGING_SUFFIX}"))
+        (cache.directory / f"deadbeef{STAGING_SUFFIX}").write_bytes(b"torn pick")
         assert path.read_bytes() == published
         fresh = FoldCache(directory=cache.directory, memo_entries=0)
         assert fresh.stats().n_entries == 1
@@ -194,17 +196,17 @@ class TestConcurrentCache:
 
     def test_clear_sweeps_stale_tmp_files(self, trace, cache):
         cache.put(cache.key(trace), fold_trace(trace))
-        stale = cache.directory / "orphan.tmp"
+        stale = cache.directory / f"orphan{STAGING_SUFFIX}"
         stale.write_bytes(b"partial")
-        assert cache.clear() == 1  # the tmp file is not an entry
+        assert cache.clear() == 1  # the staging file is not an entry
         assert not stale.exists()
 
     def test_prune_sweeps_old_tmp_keeps_fresh(self, trace, cache):
         cache.put(cache.key(trace), fold_trace(trace))
-        old = cache.directory / "old.tmp"
+        old = cache.directory / f"old{STAGING_SUFFIX}"
         old.write_bytes(b"x")
         os.utime(old, (time.time() - 7200, time.time() - 7200))
-        fresh = cache.directory / "fresh.tmp"
+        fresh = cache.directory / f"fresh{STAGING_SUFFIX}"
         fresh.write_bytes(b"y")
         cache.prune()
         assert not old.exists()  # crashed writer, swept

@@ -160,7 +160,7 @@ class TestDegenerateTotals:
 class TestFoldSweep:
     def test_matches_plan_folds(self, trace):
         bws = (0.01, 0.02, 0.05)
-        results = fold_sweep(trace, bandwidths=bws, max_workers=1)
+        results = fold_sweep(trace, bandwidths=bws)
         assert [r.point for r in results] == [
             SweepPoint(grid_points=201, bandwidth=bw) for bw in bws
         ]
@@ -170,7 +170,7 @@ class TestFoldSweep:
 
     def test_grid_cross_product_order(self, trace):
         results = fold_sweep(
-            trace, bandwidths=(0.01, 0.05), grid_points=(51, 101), max_workers=1
+            trace, bandwidths=(0.01, 0.05), grid_points=(51, 101)
         )
         assert [(r.point.grid_points, r.point.bandwidth) for r in results] == [
             (51, 0.01), (51, 0.05), (101, 0.01), (101, 0.05),
@@ -178,21 +178,8 @@ class TestFoldSweep:
         for r in results:
             assert r.report.counters.sigma.size == r.point.grid_points
 
-    def test_parallel_matches_serial(self, trace):
-        bws = (0.01, 0.03)
-        serial = fold_sweep(trace, bandwidths=bws, max_workers=1)
-        parallel = fold_sweep(trace, bandwidths=bws, max_workers=2)
-        for s, p in zip(serial, parallel):
-            assert s.point == p.point
-            assert p.report.trace is trace
-            assert_reports_identical(s.report, p.report)
-
     def test_empty_sweep(self, trace):
         assert fold_sweep(trace, bandwidths=()) == []
-
-    def test_rejects_bad_workers(self, trace):
-        with pytest.raises(ValueError):
-            fold_sweep(trace, max_workers=0)
 
 
 def _stream_factory():
@@ -230,7 +217,7 @@ class TestValidatorOnFastPaths:
         validate_trace(report.trace).raise_on_error()
 
     def test_fold_sweep(self, trace):
-        for r in fold_sweep(trace, bandwidths=(0.015,), max_workers=1):
+        for r in fold_sweep(trace, bandwidths=(0.015,)):
             validate_trace(r.report.trace).raise_on_error()
 
     def test_cache_hit(self, trace, tmp_path):
@@ -267,7 +254,7 @@ class TestFastPathEquivalenceMatrix:
         cache = FoldCache(directory=tmp_path)
         fold_trace(hpcg_trace, cache=cache)
         assert_reports_identical(cold, fold_trace(hpcg_trace, cache=cache))
-        for r in fold_sweep(hpcg_trace, bandwidths=(0.01, 0.05), max_workers=1):
+        for r in fold_sweep(hpcg_trace, bandwidths=(0.01, 0.05)):
             assert_reports_identical(
                 r.report, fold_trace(hpcg_trace, bandwidth=r.point.bandwidth)
             )

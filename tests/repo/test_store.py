@@ -4,12 +4,14 @@ import json
 import multiprocessing
 import os
 import threading
+import time
 import zipfile
 
 import pytest
 
 from repro.extrae.trace import Trace
 from repro.repo import RepoError, TraceRepo, default_repo_root
+from repro.util.staging import STAGING_SUFFIX, STALE_AFTER_S
 
 from tests.extrae.test_trace_fastpath import run_trace
 
@@ -65,7 +67,7 @@ class TestAddressing:
         entry = repo.put(traced)
         stray = [
             p for p in entry.path.parent.iterdir()
-            if p.suffix == ".staging"
+            if p.suffix == STAGING_SUFFIX
         ]
         assert stray == []
 
@@ -125,6 +127,38 @@ class TestIndexAndMeta:
         assert stats["total_bytes"] == entry.path.stat().st_size
 
 
+def _orphan(directory, name, age_s):
+    """A staging file as a writer killed mid-publish leaves it."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{name}{STAGING_SUFFIX}"
+    path.write_bytes(b"partial")
+    then = time.time() - age_s
+    os.utime(path, (then, then))
+    return path
+
+
+class TestStagingSweep:
+    def test_reindex_sweeps_stale_orphans_spares_fresh(self, repo, traced):
+        entry = repo.put(traced)
+        old_in_entry = _orphan(entry.path.parent, "old", STALE_AFTER_S + 60)
+        old_in_root = _orphan(repo.root, "old", STALE_AFTER_S + 60)
+        fresh_in_entry = _orphan(entry.path.parent, "fresh", 0)
+        fresh_in_root = _orphan(repo.root, "fresh", 0)
+        repo.reindex()
+        assert not old_in_entry.exists()
+        assert not old_in_root.exists()
+        assert fresh_in_entry.exists()  # possibly a live writer, spared
+        assert fresh_in_root.exists()
+
+    def test_first_put_killed_mid_save_is_swept(self, repo, traced):
+        # The killed writer left an entry directory holding only its
+        # container's staging file: no listing shows it.
+        lone = _orphan(repo.entry_dir("ab" * 32), "killed", STALE_AFTER_S + 60)
+        assert repo.list() == []
+        repo.put(traced)  # any later publish reindexes
+        assert not lone.exists()
+
+
 def _put_job(root, container):
     """Module-level so multiprocessing can pickle it."""
     entry = TraceRepo(root).put(container)
@@ -154,7 +188,7 @@ class TestConcurrentAccess:
         assert repo.open(digests[0]).digest() == digests[0]
         stray = [
             p for p in entries[0].path.parent.iterdir()
-            if p.suffix == ".staging"
+            if p.suffix == STAGING_SUFFIX
         ]
         assert stray == []
 

@@ -1,12 +1,19 @@
 """AnalysisServer: endpoints, caching/ETag semantics, concurrency."""
 
+import json
+import logging
+import os
+import signal
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import repro.service.server as server_module
 from repro.folding.report import fold_trace
 from repro.repo import TraceRepo
 from repro.service import AnalysisServer, ServiceClient, ServiceError
@@ -25,22 +32,31 @@ def traced():
     return run_trace("vectorized", "stream")
 
 
-@pytest.fixture(scope="module")
-def served(traced, tmp_path_factory):
-    """A live server over a one-trace repository (module-shared)."""
-    root = tmp_path_factory.mktemp("service")
-    repo = TraceRepo(root / "repo")
-    entry = repo.put(traced)
-    server = AnalysisServer(repo, workers=2, trace_cache_capacity=4)
+@contextmanager
+def serving(server):
+    """Run *server* on a background thread until the block exits."""
     thread = threading.Thread(target=server.run, daemon=True)
     thread.start()
     deadline = time.monotonic() + 30
     while not server.port and time.monotonic() < deadline:
         time.sleep(0.01)
     assert server.port, "server did not come up"
-    yield server, entry
-    server.request_stop()
-    thread.join(timeout=30)
+    try:
+        yield server
+    finally:
+        server.request_stop()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "server did not stop"
+
+
+@pytest.fixture(scope="module")
+def served(traced, tmp_path_factory):
+    """A live server over a one-trace repository (module-shared)."""
+    root = tmp_path_factory.mktemp("service")
+    repo = TraceRepo(root / "repo")
+    entry = repo.put(traced)
+    with serving(AnalysisServer(repo, workers=2, trace_cache_capacity=4)) as server:
+        yield server, entry
 
 
 @pytest.fixture()
@@ -79,6 +95,33 @@ class TestBasicEndpoints:
         stats = client.stats()
         assert stats["workers"] == 2
         assert stats["counters"]["requests"] >= 1
+
+    def test_internal_error_body_hides_the_exception(
+        self, served, client, monkeypatch, caplog
+    ):
+        server, _entry = served
+
+        def broken_route():
+            raise RuntimeError("/secret/path")
+
+        monkeypatch.setattr(server, "_list_traces", broken_route)
+        with caplog.at_level(logging.ERROR, logger="repro.service"):
+            status, _headers, body = client.get("/v1/traces")
+        assert status == 500
+        assert b"/secret/path" not in body
+        assert json.loads(body) == {"error": "internal error", "status": 500}
+        assert "/secret/path" in caplog.text  # the traceback is logged
+        assert client.healthz() == {"ok": True}
+
+    def test_malformed_request_line_is_400(self, served, client):
+        server, _entry = served
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(b"GARBAGE\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after it
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert client.healthz() == {"ok": True}
 
     def test_payloads_are_digest_stamped(self, served, client):
         _server, entry = served
@@ -207,13 +250,60 @@ class TestFoldEndpoint:
         # one fold computed; everyone else coalesced onto it or hit a cache
         assert server.counters["folds_cold"] == before_cold + 1
 
-    def test_warm_cache_answers_without_the_pool(self, served):
+    def test_warm_cache_answers_without_a_fold(self, served):
         server, entry = served
         with ServiceClient("127.0.0.1", server.port) as c:
             c.fold(entry.digest, "counters", grid=133)  # cold: warms FoldCache
             cold = server.counters["folds_cold"]
-            # different direction, same fold parameters: the cached
-            # resident report serves it in-loop
+            # different direction, same fold parameters: the worker
+            # serves it from the cached resident report
             c.fold(entry.digest, "address", grid=133)
             assert server.counters["folds_cold"] == cold
             assert server.counters["folds_warm_cache"] >= 1
+
+
+def _kill_own_worker(*_args):
+    """A fold job whose worker dies the way an OOM-killed one does."""
+    time.sleep(2.0)  # long enough for the other requests to arrive
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestWorkerDeath:
+    def test_dead_worker_answers_503_and_the_pool_respawns(
+        self, traced, tmp_path, monkeypatch
+    ):
+        repo = TraceRepo(tmp_path / "repo")
+        entry = repo.put(traced)
+        with serving(AnalysisServer(repo, workers=1)) as server:
+            pools = []
+
+            class CountedPool(ProcessPoolExecutor):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    pools.append(self)
+
+            monkeypatch.setattr(server_module, "fold_payload_job", _kill_own_worker)
+            monkeypatch.setattr(server_module, "ProcessPoolExecutor", CountedPool)
+            fold = f"/v1/traces/{entry.digest}/fold?direction=counters"
+
+            def fetch(path):
+                with ServiceClient("127.0.0.1", server.port) as c:
+                    return c.get(path)[0]
+
+            with ServiceClient("127.0.0.1", server.port) as health:
+                with ThreadPoolExecutor(max_workers=3) as clients:
+                    # two coalesced requests, and one queued behind them
+                    # on the same pool
+                    statuses = clients.map(fetch, [fold, fold, fold + "&grid=151"])
+                    time.sleep(0.3)
+                    assert health.healthz() == {"ok": True}  # mid-fold
+                    assert list(statuses) == [503, 503, 503]
+                assert server.counters["folds_coalesced"] == 1
+                assert len(pools) == 1  # one new pool per broken pool
+                assert health.healthz() == {"ok": True}
+
+                monkeypatch.undo()
+                got = health.fold(entry.digest, "counters")
+                want = counters_payload(fold_trace(traced))
+                assert got["payload_digest"] == want["payload_digest"]
+                assert health.healthz() == {"ok": True}

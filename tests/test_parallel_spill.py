@@ -227,14 +227,6 @@ class TestRankSummary:
             assert r.summary.digest == r.trace.digest()
             assert r.summary.duration_ns == r.trace.duration_ns()
 
-    def test_session_property_is_deprecated_shim(self):
-        result = RankSet(3, session_config(seed=5), max_workers=1).run(
-            FACTORIES["stream"]
-        )[1]
-        with pytest.warns(DeprecationWarning):
-            session = result.session
-        assert session.config.seed == result.summary.config.seed
-
 
 class TestSeedDerivation:
     def test_derive_rank_config_formula(self):
