@@ -1,121 +1,51 @@
-"""Engine-throughput and rank-parallelism benchmark harness.
+"""``engine`` scenario: memory-engine throughput.
 
-Measures, on the acceptance workloads of the vectorized-engine PR:
-
-* accesses/second of every fidelity mode on a 1M-access unit-stride
-  sweep (the regime the batch engine is built for), plus the
-  vectorized-over-precise speedup;
-* wall-clock of a small rank stack run serially vs through the
-  process pool.
-
-Results go to ``benchmarks/results/BENCH_engine.json``.  Run it
-directly (it is a script, not a pytest module — see README,
-"Benchmarks"):
-
-    PYTHONPATH=src python benchmarks/perf/bench_engine.py
-
-``--min-speedup X`` makes the exit status enforce a vectorized/precise
-floor, which CI uses as a cheap perf-regression tripwire.
+A 1M-access unit-stride sweep, the regime the batch engine is built
+for, through each fidelity mode of
+:func:`repro.memsim.engines.make_engine`, each run on a fresh engine.
+Gate: the vectorized engine beats the precise one by at least
+``MIN_SPEEDUP`` (a loose tripwire for shared runners; it measures
+about 10x).  ``accesses_per_s`` divides the sweep by each engine's
+median seconds.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-import time
-from pathlib import Path
-
 import numpy as np
 
-from repro.memsim.engines import ENGINE_NAMES, make_engine
+from repro.memsim.engines import make_engine
 from repro.memsim.hierarchy import HierarchyConfig
 from repro.memsim.patterns import SequentialPattern
-from repro.parallel import RankSet
-from repro.pipeline import SessionConfig
-from repro.workloads import HpcgConfig, HpcgWorkload
-
-RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 N_ACCESSES = 1_000_000
-RANKS = 4
+PAIRS = 8
+MIN_SPEEDUP = 4
 
 
-def bench_engines(repeats: int) -> dict:
+def _sweep(name: str):
     pattern = SequentialPattern(0, N_ACCESSES, 8)
-    out = {}
-    for name in ENGINE_NAMES:
-        best = float("inf")
-        for _ in range(repeats):
-            engine = make_engine(name, HierarchyConfig(),
-                                 rng=np.random.default_rng(0))
-            t0 = time.perf_counter()
-            engine.run_pattern(pattern)
-            best = min(best, time.perf_counter() - t0)
-        out[name] = {
-            "seconds": round(best, 4),
-            "accesses_per_sec": round(N_ACCESSES / best),
-        }
-    out["vectorized_speedup_vs_precise"] = round(
-        out["precise"]["seconds"] / out["vectorized"]["seconds"], 2
-    )
-    return out
+
+    def run():
+        engine = make_engine(name, HierarchyConfig(), rng=np.random.default_rng(0))
+        engine.run_pattern(pattern)
+
+    return run
 
 
-def _factory(rank: int, n_ranks: int) -> HpcgWorkload:
-    return HpcgWorkload(
-        HpcgConfig(nx=16, ny=16, nz=16, nlevels=2, n_iterations=2,
-                   rank=rank, npz=n_ranks)
-    )
-
-
-def bench_rankset() -> dict:
-    config = SessionConfig(seed=7, engine="analytic")
-    t0 = time.perf_counter()
-    RankSet(RANKS, config, max_workers=1).run(_factory)
-    serial = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    RankSet(RANKS, config).run(_factory)
-    parallel = time.perf_counter() - t0
-    return {
-        "n_ranks": RANKS,
-        "cpu_count": os.cpu_count(),
-        "serial_seconds": round(serial, 3),
-        "parallel_seconds": round(parallel, 3),
-        "speedup": round(serial / parallel, 2),
+def measure(bench) -> dict:
+    bench.time_ratio("vectorized_vs_precise", _sweep("precise"),
+                     _sweep("vectorized"), pairs=PAIRS, floor=MIN_SPEEDUP)
+    bench.time_ratio("analytic_vs_vectorized", _sweep("vectorized"),
+                     _sweep("analytic"), pairs=PAIRS)
+    seconds = {
+        "precise": bench.time["vectorized_vs_precise"]["baseline_median_s"],
+        "vectorized": bench.time["vectorized_vs_precise"]["candidate_median_s"],
+        "analytic": bench.time["analytic_vs_vectorized"]["candidate_median_s"],
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--repeats", type=int, default=3,
-                   help="take the best of this many runs per engine")
-    p.add_argument("--min-speedup", type=float, default=0.0,
-                   help="fail unless vectorized beats precise by this factor")
-    p.add_argument("-o", "--output",
-                   default=str(RESULTS / "BENCH_engine.json"))
-    args = p.parse_args(argv)
-
-    report = {
+    return {
         "workload": f"unit-stride sweep, {N_ACCESSES} accesses, "
                     "default Haswell-like hierarchy",
-        "engines": bench_engines(args.repeats),
-        "rankset": bench_rankset(),
+        "accesses_per_s": {
+            name: round(N_ACCESSES / s) for name, s in seconds.items()
+        },
     }
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
-    print(f"wrote {out}")
-
-    speedup = report["engines"]["vectorized_speedup_vs_precise"]
-    if args.min_speedup and speedup < args.min_speedup:
-        print(f"FAIL: vectorized speedup {speedup}x "
-              f"< required {args.min_speedup}x", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

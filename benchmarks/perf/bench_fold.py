@@ -1,38 +1,23 @@
-"""Folding fast-path benchmark harness.
+"""``fold`` scenario: the folding fast path.
 
-Measures, on a reference STREAM trace (~60k memory samples), the three
-tiers of the folding fast path plus the export rewrite:
+On a reference STREAM trace (~60k memory samples), each tier of the
+folding fast path against the cold ``fold_trace`` it replaces:
 
-* **cold fold** — ``fold_trace`` from scratch (plan build + batched
-  fit), the baseline everything else is measured against;
 * **plan reuse** — a 10-point bandwidth sweep through one
-  :class:`~repro.folding.plan.FoldPlan` vs 10 independent cold folds;
-* **report cache** — memo-tier and disk-tier hit latency of
-  :class:`~repro.folding.cache.FoldCache` vs the cold fold;
+  :class:`~repro.folding.plan.FoldPlan` vs 10 cold folds, gated at
+  ``MIN_WARM_SPEEDUP``;
+* **report cache** — a :class:`~repro.folding.cache.FoldCache` memo hit
+  vs a cold fold, gated at ``MIN_CACHE_SPEEDUP``; a disk hit (a fresh
+  cache, so an empty memo) is recorded;
 * **gnuplot export** — ``export_gnuplot`` (the block writer of
   :mod:`repro.folding.export`) vs :func:`export_rowwise`, the per-row
-  f-string reference, whose files it must equal byte for byte.
-
-Results go to ``benchmarks/results/BENCH_fold.json``.  Run it directly
-(it is a script, not a pytest module — see README, "Benchmarks"):
-
-    PYTHONPATH=src python benchmarks/perf/bench_fold.py
-
-``--min-warm-speedup X`` / ``--min-cache-speedup X`` /
-``--min-export-speedup X`` make the exit status enforce plan-reuse,
-cache-hit and export floors, which CI uses as cheap perf-regression
-tripwires.  A byte difference between the export and its reference
-always fails.
+  f-string reference, gated at ``MIN_EXPORT_SPEEDUP``; the two must
+  write the same files byte for byte (always checked).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +31,15 @@ from repro.memsim.datasource import DataSource
 from repro.pipeline import SessionConfig, run_workload
 from repro.workloads.stream import StreamConfig, StreamWorkload
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
-
 STREAM_N = 2_000_000
 ITERATIONS = 10
 LOAD_PERIOD = 500
 #: the kernel-ablation bandwidth range, 10 points
 BANDWIDTHS = (0.002, 0.005, 0.01, 0.015, 0.02, 0.03, 0.04, 0.06, 0.08, 0.1)
+PAIRS = 16
+MIN_WARM_SPEEDUP = 5
+MIN_CACHE_SPEEDUP = 20
+MIN_EXPORT_SPEEDUP = 4
 
 
 def make_trace():
@@ -65,70 +52,6 @@ def make_trace():
             ),
         ),
     )
-
-
-def best_of(repeats, fn):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def bench_cold(trace, repeats: int) -> float:
-    return best_of(repeats, lambda: fold_trace(trace))
-
-
-def bench_plan_reuse(trace, repeats: int, cold_fold: float) -> dict:
-    t0 = time.perf_counter()
-    plan = FoldPlan.from_trace(trace)
-    plan_build = time.perf_counter() - t0
-
-    def warm_sweep():
-        for bw in BANDWIDTHS:
-            plan.fold(bandwidth=bw)
-
-    def cold_sweep():
-        for bw in BANDWIDTHS:
-            fold_trace(trace, bandwidth=bw)
-
-    warm = best_of(repeats, warm_sweep)
-    cold = best_of(max(1, repeats - 1), cold_sweep)
-    return {
-        "sweep_points": len(BANDWIDTHS),
-        "plan_build_seconds": round(plan_build, 4),
-        "cold_sweep_seconds": round(cold, 4),
-        "warm_sweep_seconds": round(warm, 4),
-        "warm_speedup": round(cold / warm, 2),
-        "warm_fold_seconds": round(warm / len(BANDWIDTHS), 5),
-        "warm_vs_cold_fold_speedup": round(
-            cold_fold / (warm / len(BANDWIDTHS)), 2
-        ),
-    }
-
-
-def bench_cache(trace, repeats: int, cold_fold: float) -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = FoldCache(directory=tmp)
-        t0 = time.perf_counter()
-        fold_trace(trace, cache=cache)
-        store = time.perf_counter() - t0
-        memo = best_of(repeats, lambda: fold_trace(trace, cache=cache))
-        # A fresh FoldCache per call = empty memo = true disk hits.
-        disk = best_of(
-            repeats,
-            lambda: fold_trace(trace, cache=FoldCache(directory=tmp)),
-        )
-        entry_bytes = cache.stats().total_bytes
-    return {
-        "cold_store_seconds": round(store, 4),
-        "memo_hit_seconds": round(memo, 6),
-        "disk_hit_seconds": round(disk, 5),
-        "memo_hit_speedup": round(cold_fold / memo, 1),
-        "disk_hit_speedup": round(cold_fold / disk, 1),
-        "entry_bytes": entry_bytes,
-    }
 
 
 def export_rowwise(report, directory: str | Path) -> list[Path]:
@@ -217,84 +140,51 @@ def same_files(written: list[Path], reference: list[Path]) -> bool:
     )
 
 
-def bench_export(report, repeats: int) -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
-        block_dir, row_dir = Path(tmp) / "block", Path(tmp) / "row"
-        block = best_of(repeats, lambda: report.export_gnuplot(block_dir))
-        rowwise = best_of(repeats, lambda: export_rowwise(report, row_dir))
-        identical = same_files(
-            report.export_gnuplot(block_dir), export_rowwise(report, row_dir)
-        )
-    return {
-        "rows": report.addresses.n + report.lines.n + report.counters.sigma.size,
-        "rowwise_seconds": round(rowwise, 4),
-        "export_seconds": round(block, 4),
-        "speedup": round(rowwise / block, 2),
-        "output_identical": identical,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--repeats", type=int, default=3,
-                   help="take the best of this many runs per section")
-    p.add_argument("--min-warm-speedup", type=float, default=0.0,
-                   help="fail unless the plan-reuse bandwidth sweep beats "
-                        "cold folds by this factor")
-    p.add_argument("--min-cache-speedup", type=float, default=0.0,
-                   help="fail unless a cache hit beats a cold fold by this "
-                        "factor")
-    p.add_argument("--min-export-speedup", type=float, default=0.0,
-                   help="fail unless export_gnuplot beats the per-row "
-                        "reference by this factor")
-    p.add_argument("-o", "--output", default=str(RESULTS / "BENCH_fold.json"))
-    args = p.parse_args(argv)
-
-    t0 = time.perf_counter()
+def measure(bench) -> dict:
     trace = make_trace()
-    trace_seconds = time.perf_counter() - t0
-    cold = bench_cold(trace, args.repeats)
-    report = fold_trace(trace)
+    plan = FoldPlan.from_trace(trace)
 
-    out_report = {
-        "cpu_count": os.cpu_count(),
+    def cold_sweep():
+        for bw in BANDWIDTHS:
+            fold_trace(trace, bandwidth=bw)
+
+    def warm_sweep():
+        for bw in BANDWIDTHS:
+            plan.fold(bandwidth=bw)
+
+    def cold_fold():
+        fold_trace(trace)
+
+    bench.time_ratio("plan_reuse", cold_sweep, warm_sweep, pairs=PAIRS,
+                     floor=MIN_WARM_SPEEDUP)
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = FoldCache(directory=tmp)
+        fold_trace(trace, cache=cache)
+        bench.time_ratio("memo_hit", cold_fold,
+                         lambda: fold_trace(trace, cache=cache),
+                         pairs=PAIRS, floor=MIN_CACHE_SPEEDUP)
+        bench.time_ratio(
+            "disk_hit", cold_fold,
+            lambda: fold_trace(trace, cache=FoldCache(directory=tmp)),
+            pairs=PAIRS,
+        )
+        entry_bytes = cache.stats().total_bytes
+
+    report = fold_trace(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        row_dir, block_dir = Path(tmp) / "row", Path(tmp) / "block"
+        rowwise, block = bench.time_ratio(
+            "export", lambda: export_rowwise(report, row_dir),
+            lambda: report.export_gnuplot(block_dir),
+            pairs=PAIRS, floor=MIN_EXPORT_SPEEDUP,
+        )
+        bench.check("export_identical", same_files(block, rowwise))
+    return {
         "workload": f"STREAM n={STREAM_N}, {ITERATIONS} iterations, "
                     f"sampling period {LOAD_PERIOD} -> "
                     f"{trace.n_samples} memory samples",
-        "trace_generation_seconds": round(trace_seconds, 3),
-        "cold_fold_seconds": round(cold, 4),
-        "plan_reuse": bench_plan_reuse(trace, args.repeats, cold),
-        "cache": bench_cache(trace, args.repeats, cold),
-        "export_gnuplot": bench_export(report, args.repeats),
+        "sweep_points": len(BANDWIDTHS),
+        "cache_entry_bytes": entry_bytes,
+        "export_rows": report.addresses.n + report.lines.n
+        + report.counters.sigma.size,
     }
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(out_report, indent=2) + "\n")
-    print(json.dumps(out_report, indent=2))
-    print(f"wrote {out}")
-
-    failed = False
-    warm = out_report["plan_reuse"]["warm_speedup"]
-    if args.min_warm_speedup and warm < args.min_warm_speedup:
-        print(f"FAIL: plan-reuse sweep speedup {warm}x "
-              f"< required {args.min_warm_speedup}x", file=sys.stderr)
-        failed = True
-    hit = out_report["cache"]["memo_hit_speedup"]
-    if args.min_cache_speedup and hit < args.min_cache_speedup:
-        print(f"FAIL: cache-hit speedup {hit}x "
-              f"< required {args.min_cache_speedup}x", file=sys.stderr)
-        failed = True
-    export = out_report["export_gnuplot"]["speedup"]
-    if args.min_export_speedup and export < args.min_export_speedup:
-        print(f"FAIL: export speedup {export}x "
-              f"< required {args.min_export_speedup}x", file=sys.stderr)
-        failed = True
-    if not out_report["export_gnuplot"]["output_identical"]:
-        print("FAIL: export_gnuplot differs from the per-row reference",
-              file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,44 +1,32 @@
-"""Trace acquisition & I/O fast-path benchmark harness.
+"""``trace`` scenario: trace acquisition and I/O.
 
-Measures, on a ~1M-sample STREAM run, the acquisition/storage fast
-path against the seed implementation (copied verbatim below and
-installed by monkeypatching, so both paths run the same machine/RNG
-stream):
+On a ~1M-sample STREAM run, the acquisition and storage fast path
+against the seed implementation, which is kept verbatim below and
+installed by monkeypatching, so both paths run the same machine and
+RNG stream:
 
-* **end-to-end record+save** — ``run_workload`` with chunked columnar
-  recording + incremental consolidation + v2 ``ZIP_STORED`` save, vs
-  the scalar PEBS loop, per-counter interpolation, per-block Python
-  buffering with global concatenate+argsort, and the v1 deflated-npz
-  save.  The two traces' content digests are asserted equal — the
-  speedup only counts if the bits match;
-* **save** — v2 (``none``/``deflate``) vs v1 npz of the same trace;
-* **load + column query** — ``Trace.load`` + one column read + one
-  time-window count, v2 lazy/memmap vs the eager v1 loader;
-* **indexed queries** — per-label row lookup, time-window slicing and
-  region-interval matching through :class:`TraceIndex` vs the
-  boolean-mask / linear-scan equivalents (results compared exactly).
-
-Results go to ``benchmarks/results/BENCH_trace.json``.  Run directly:
-
-    PYTHONPATH=src python benchmarks/perf/bench_trace.py
-
-``--min-e2e-speedup X`` / ``--min-load-speedup X`` turn the two
-headline ratios into exit-status tripwires for CI.
+* **end to end** — ``run_workload`` with chunked columnar recording,
+  incremental consolidation and a v2 ``ZIP_STORED`` save, vs the scalar
+  PEBS loop, per-counter interpolation, per-block Python buffering with
+  a global concatenate + argsort, and the v1 deflated-npz save; gated
+  at ``MIN_E2E_SPEEDUP``.  The two traces' content digests must be
+  equal (always checked): the speedup only counts if the bits match;
+* **save** — v1 npz vs v2 ``none`` saves of one trace (recorded);
+* **load + query** — ``Trace.load`` + one column read + one time-window
+  count, the eager v1 loader vs lazy v2; gated at ``MIN_LOAD_SPEEDUP``,
+  results checked equal, tracemalloc peaks recorded;
+* **indexed queries** — per-label rows, time windows and region
+  intervals through :class:`TraceIndex` vs the boolean-mask and
+  linear-scan equivalents (recorded; results checked equal).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import tempfile
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-
-from memprof import memory_probe
 
 from repro.extrae.index import TraceIndex
 from repro.extrae.trace import _SAMPLE_COLUMNS, SampleTable, Trace
@@ -51,11 +39,14 @@ from repro.simproc.machine import Machine
 from repro.simproc.pebs import PebsSampler
 from repro.workloads.stream import StreamConfig, StreamWorkload
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
-
 STREAM_N = 1_500_000
 ITERATIONS = 12
 PERIOD = 25  # dense sampling to reach ~1M memory samples
+#: pairs of the seconds-long end-to-end and save ratios
+SLOW_PAIRS = 3
+PAIRS = 8
+MIN_E2E_SPEEDUP = 4
+MIN_LOAD_SPEEDUP = 3
 
 
 def make_trace():
@@ -66,15 +57,6 @@ def make_trace():
             tracer=TracerConfig(load_period=PERIOD, store_period=PERIOD),
         ),
     )
-
-
-def best_of(repeats, fn):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
 
 
 # --- the seed implementation, verbatim ---------------------------------------
@@ -259,207 +241,116 @@ def seed_implementation():
          Trace.add_samples, Trace.sample_table) = saved
 
 
-# --- sections ----------------------------------------------------------------
+# --- the scenario -------------------------------------------------------------
 
 
-def bench_end_to_end(repeats, tmp):
-    fast_path = Path(tmp) / "fast.bsctrace"
-    legacy_path = Path(tmp) / "legacy.bsctrace"
-
-    def fast_run():
-        trace = make_trace()
-        trace.save(fast_path, version=2, compression="none")
-        return trace
-
-    def legacy_run():
-        with seed_implementation():
-            trace = make_trace()
-            trace.save(legacy_path, version=1)
-        return trace
-
-    fast_s, fast_trace = best_of(repeats, fast_run)
-    legacy_s, legacy_trace = best_of(1, legacy_run)
-    digests_equal = fast_trace.digest() == legacy_trace.digest()
-    return fast_trace, {
-        "n_samples": fast_trace.n_samples,
-        "legacy_seconds": round(legacy_s, 3),
-        "fast_seconds": round(fast_s, 3),
-        "speedup": round(legacy_s / fast_s, 2),
-        "digests_equal": digests_equal,
-    }
+def load_query(path, t_mid):
+    """Load + one column read + one half-trace window count."""
+    loaded = Trace.load(path)
+    col = loaded.sample_table().time_ns
+    sl = loaded.index().samples.time_slice(0.0, t_mid)
+    return col.size, sl.stop - sl.start
 
 
-def bench_save(trace, repeats, tmp):
-    out = {}
-    p = Path(tmp)
-    v1_s, _ = best_of(repeats, lambda: trace.save(p / "s1.bsctrace", version=1))
-    out["v1_npz_seconds"] = round(v1_s, 3)
-    for comp in ("none", "deflate"):
-        s, path = best_of(
-            repeats,
-            lambda c=comp: trace.save(p / f"s2_{c}.bsctrace", version=2, compression=c),
-        )
-        out[f"v2_{comp}_seconds"] = round(s, 3)
-        out[f"v2_{comp}_bytes"] = path.stat().st_size
-    out["v1_npz_bytes"] = (p / "s1.bsctrace").stat().st_size
-    out["save_speedup_v2_none_vs_v1"] = round(v1_s / out["v2_none_seconds"], 2)
-    return out
-
-
-def bench_load_query(trace, repeats, tmp):
-    p = Path(tmp)
-    v1 = trace.save(p / "l1.bsctrace", version=1)
-    v2 = trace.save(p / "l2.bsctrace", version=2, compression="none")
-    t_mid = trace.duration_ns() / 2
-
-    def query(path):
-        loaded = Trace.load(path)
-        table = loaded.sample_table()
-        col = table.time_ns
-        sl = loaded.index().samples.time_slice(0.0, t_mid)
-        return col.size, sl.stop - sl.start
-
-    v1_s, v1_result = best_of(repeats, lambda: query(v1))
-    v2_s, v2_result = best_of(repeats, lambda: query(v2))
-    # Peak allocation of one load+query through the shared probe: the
-    # eager v1 loader inflates and materializes the whole table, the
-    # lazy v2 path memory-maps columns (invisible to tracemalloc by
-    # design — pages are the OS's, not the allocator's).
-    with memory_probe() as v1_mem:
-        query(v1)
-    with memory_probe() as v2_mem:
-        query(v2)
-    return {
-        "query": "load + time_ns column + half-trace window count",
-        "v1_seconds": round(v1_s, 4),
-        "v2_seconds": round(v2_s, 4),
-        "speedup": round(v1_s / v2_s, 2),
-        "v1_traced_peak_bytes": v1_mem.traced_peak_bytes,
-        "v2_traced_peak_bytes": v2_mem.traced_peak_bytes,
-        "results_equal": v1_result == v2_result,
-    }
-
-
-def bench_indexed_queries(trace, repeats):
-    table = trace.sample_table()
+def indexed_queries(trace, edges):
+    index = TraceIndex(trace)
     n_labels = len(trace.labels)
-    t = table.time_ns
-    edges = np.linspace(0.0, float(t[-1]), 101)
-
-    def indexed():
-        index = TraceIndex(trace)
-        rows = [index.samples.rows_for_label(i) for i in range(n_labels)]
-        windows = [
-            index.samples.time_slice(a, b) for a, b in zip(edges, edges[1:])
-        ]
-        intervals = {
-            name: index.events.region_intervals(name)
-            for name in index.events.region_names
-        }
-        return (
-            [r.size for r in rows],
-            [sl.stop - sl.start for sl in windows],
-            intervals,
-        )
-
-    def scanned():
-        labels = table.label_id
-        rows = [np.nonzero(labels == i)[0] for i in range(n_labels)]
-        windows = [
-            int(np.count_nonzero((t >= a) & (t < b)))
-            for a, b in zip(edges, edges[1:])
-        ]
-        names = sorted(
-            {
-                ev.name
-                for ev in trace.events
-                if ev.kind in (EventKind.REGION_ENTER, EventKind.REGION_EXIT)
-            }
-        )
-        intervals = {}
-        for name in names:
-            stack, matched = [], []
-            for ev in trace.events:
-                if ev.name != name:
-                    continue
-                if ev.kind == EventKind.REGION_ENTER:
-                    stack.append(ev.time_ns)
-                elif ev.kind == EventKind.REGION_EXIT:
-                    matched.append((stack.pop(), ev.time_ns))
-            intervals[name] = sorted(matched)
-        return rows, windows, intervals
-
-    idx_s, idx_result = best_of(repeats, indexed)
-    scan_s, scan_result = best_of(repeats, scanned)
-    equal = (
-        idx_result[0] == [r.size for r in scan_result[0]]
-        and idx_result[1] == scan_result[1]
-        and idx_result[2] == scan_result[2]
-    )
-    return {
-        "labels": n_labels,
-        "windows": len(edges) - 1,
-        "regions": len(idx_result[2]),
-        "scan_seconds": round(scan_s, 4),
-        "indexed_seconds": round(idx_s, 4),
-        "speedup": round(scan_s / idx_s, 2),
-        "results_equal": equal,
+    rows = [index.samples.rows_for_label(i).size for i in range(n_labels)]
+    windows = [
+        index.samples.time_slice(a, b) for a, b in zip(edges, edges[1:])
+    ]
+    intervals = {
+        name: index.events.region_intervals(name)
+        for name in index.events.region_names
     }
+    return rows, [sl.stop - sl.start for sl in windows], intervals
 
 
-def main(argv: list[str] | None = None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--repeats", type=int, default=2,
-                   help="take the best of this many runs per section")
-    p.add_argument("--min-e2e-speedup", type=float, default=0.0,
-                   help="fail unless record+save beats the seed path by "
-                        "this factor")
-    p.add_argument("--min-load-speedup", type=float, default=0.0,
-                   help="fail unless v2 load+query beats the v1 loader by "
-                        "this factor")
-    p.add_argument("-o", "--output", default=str(RESULTS / "BENCH_trace.json"))
-    args = p.parse_args(argv)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        trace, e2e = bench_end_to_end(args.repeats, tmp)
-        out_report = {
-            "workload": f"STREAM n={STREAM_N}, {ITERATIONS} iterations, "
-                        f"sampling period {PERIOD} -> "
-                        f"{trace.n_samples} memory samples",
-            "end_to_end": e2e,
-            "save": bench_save(trace, args.repeats, tmp),
-            "load_query": bench_load_query(trace, args.repeats, tmp),
-            "indexed_queries": bench_indexed_queries(trace, args.repeats),
+def scanned_queries(trace, edges):
+    table = trace.sample_table()
+    t, labels = table.time_ns, table.label_id
+    rows = [np.nonzero(labels == i)[0].size for i in range(len(trace.labels))]
+    windows = [
+        int(np.count_nonzero((t >= a) & (t < b)))
+        for a, b in zip(edges, edges[1:])
+    ]
+    names = sorted(
+        {
+            ev.name
+            for ev in trace.events
+            if ev.kind in (EventKind.REGION_ENTER, EventKind.REGION_EXIT)
         }
-
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(out_report, indent=2) + "\n")
-    print(json.dumps(out_report, indent=2))
-    print(f"wrote {out}")
-
-    failed = False
-    if not out_report["end_to_end"]["digests_equal"]:
-        print("FAIL: fast and seed acquisition paths disagree on the "
-              "trace digest", file=sys.stderr)
-        failed = True
-    for section in ("load_query", "indexed_queries"):
-        if not out_report[section]["results_equal"]:
-            print(f"FAIL: {section} indexed results differ from the "
-                  "scan reference", file=sys.stderr)
-            failed = True
-    e2e_speedup = out_report["end_to_end"]["speedup"]
-    if args.min_e2e_speedup and e2e_speedup < args.min_e2e_speedup:
-        print(f"FAIL: end-to-end speedup {e2e_speedup}x "
-              f"< required {args.min_e2e_speedup}x", file=sys.stderr)
-        failed = True
-    load_speedup = out_report["load_query"]["speedup"]
-    if args.min_load_speedup and load_speedup < args.min_load_speedup:
-        print(f"FAIL: load+query speedup {load_speedup}x "
-              f"< required {args.min_load_speedup}x", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
+    )
+    intervals = {}
+    for name in names:
+        stack, matched = [], []
+        for ev in trace.events:
+            if ev.name != name:
+                continue
+            if ev.kind == EventKind.REGION_ENTER:
+                stack.append(ev.time_ns)
+            elif ev.kind == EventKind.REGION_EXIT:
+                matched.append((stack.pop(), ev.time_ns))
+        intervals[name] = sorted(matched)
+    return rows, windows, intervals
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def measure(bench) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+
+        def legacy_run():
+            with seed_implementation():
+                trace = make_trace()
+                trace.save(tmp / "legacy.bsctrace", version=1)
+            return trace
+
+        def fast_run():
+            trace = make_trace()
+            trace.save(tmp / "fast.bsctrace", version=2, compression="none")
+            return trace
+
+        legacy, trace = bench.time_ratio(
+            "end_to_end", legacy_run, fast_run, pairs=SLOW_PAIRS,
+            floor=MIN_E2E_SPEEDUP,
+        )
+        bench.check("digests_equal", legacy.digest() == trace.digest())
+        del legacy
+
+        v1, v2 = bench.time_ratio(
+            "save", lambda: trace.save(tmp / "v1.bsctrace", version=1),
+            lambda: trace.save(tmp / "v2.bsctrace", version=2,
+                               compression="none"),
+            pairs=SLOW_PAIRS,
+        )
+        t_mid = trace.duration_ns() / 2
+        v1_result, v2_result = bench.time_ratio(
+            "load_query", lambda: load_query(v1, t_mid),
+            lambda: load_query(v2, t_mid), pairs=PAIRS,
+            floor=MIN_LOAD_SPEEDUP,
+        )
+        bench.check("load_query_results_equal", v1_result == v2_result)
+        # The eager v1 loader inflates and materializes the whole table;
+        # the lazy v2 path memory-maps columns, which tracemalloc does
+        # not see (pages are the OS's, not the allocator's).
+        _, v1_peak = bench.probe(lambda: load_query(v1, t_mid))
+        _, v2_peak = bench.probe(lambda: load_query(v2, t_mid))
+        bench.memory_ratio("load_query_peak", v1_peak, v2_peak)
+        file_bytes = {"v1": v1.stat().st_size, "v2": v2.stat().st_size}
+
+    edges = np.linspace(0.0, float(trace.sample_table().time_ns[-1]), 101)
+    scanned, indexed = bench.time_ratio(
+        "indexed_queries", lambda: scanned_queries(trace, edges),
+        lambda: indexed_queries(trace, edges), pairs=PAIRS,
+    )
+    bench.check("indexed_results_equal", scanned == indexed)
+    return {
+        "workload": f"STREAM n={STREAM_N}, {ITERATIONS} iterations, "
+                    f"sampling period {PERIOD} -> "
+                    f"{trace.n_samples} memory samples",
+        "n_samples": trace.n_samples,
+        "file_bytes": file_bytes,
+        "labels": len(trace.labels),
+        "windows": len(edges) - 1,
+        "regions": len(indexed[2]),
+    }

@@ -1,11 +1,11 @@
-"""Shared peak-memory probe for the perf benchmarks.
+"""Peak-memory probe behind the benchmark runner's memory ratios.
 
 Two complementary measurements, taken together by :func:`memory_probe`:
 
 * **tracemalloc peak** — exact bytes of Python-level allocations
   (numpy array buffers included) live at the high-water mark inside
   the probed block.  Deterministic and unaffected by allocator reuse,
-  so it is what the benchmark *tripwires* compare.  Memory the
+  so it is what the runner's memory ratios gate.  Memory the
   allocator obtained outside Python (``np.memmap`` pages, child
   processes) is invisible to it — which is why the streamed read path
   (:func:`repro.extrae.storage.iter_chunks`) deliberately reads fresh
@@ -33,7 +33,7 @@ import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["MemoryProbe", "memory_probe", "rss_bytes", "table_nbytes"]
+__all__ = ["MemoryProbe", "memory_probe", "rss_bytes"]
 
 
 def rss_bytes() -> int:
@@ -46,12 +46,6 @@ def rss_bytes() -> int:
     except OSError:  # pragma: no cover - non-procfs platform
         pass
     return 0
-
-
-def table_nbytes(trace) -> int:
-    """Total bytes of a trace's consolidated sample table."""
-    table = trace.sample_table()
-    return int(sum(table.column(name).nbytes for name in table.columns()))
 
 
 @dataclass

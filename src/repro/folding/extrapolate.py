@@ -26,8 +26,8 @@ exact fold **bit for bit** —
   reproduce ``v.mean()`` to the last bit (same pairwise summation);
 
 so :func:`~repro.folding.stream.fold_digest` of the extrapolated fold
-equals the exact fold's digest.  The property suite and
-``benchmarks/perf/bench_reps.py`` enforce this.
+equals the exact fold's digest.  The property suite and the ``reps``
+benchmark scenario (``benchmarks/perf/bench_reps.py``) enforce this.
 
 For ``budget < n`` the fidelity loss is **measured, not assumed**:
 :func:`measure_fidelity` folds both ways and reports per-counter max

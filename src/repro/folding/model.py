@@ -117,8 +117,8 @@ class FoldedCounters:
         Hashes every curve's grid, cumulative fit, rate and mean total
         plus the mean instance duration — byte-exact, so two folds
         agree on the digest iff their fitted output is bit-identical.
-        The streaming-fold tests and ``bench_streamfold`` compare
-        streamed against resident folds through this.
+        The streaming-fold tests and the ``stream`` benchmark scenario
+        compare streamed against resident folds through this.
         """
         h = hashlib.sha256()
         h.update(np.float64(self.duration_ns).tobytes())

@@ -41,7 +41,7 @@ the chunkwise accumulation reproduce the resident sums to the last bit:
 The final :func:`~repro.util.pava.fit_design` runs on the accumulated
 design through the same :func:`~repro.folding.model.fit_counter_curves`
 path as the resident fold — digest-identical output, checked by the
-chunk-invariance property tests and the ``bench_streamfold`` tripwire.
+chunk-invariance property tests and the ``stream`` benchmark scenario.
 
 Two drivers sit on top of the :class:`StreamingFold` accumulator:
 

@@ -4,7 +4,7 @@ Every response body the service caches or serves is built here, from
 the same folded products the batch CLI exports — so a served payload
 can be digest-checked against a direct
 :func:`~repro.folding.report.fold_trace` of the same container
-(``bench_service.py`` does exactly that).
+(the ``service`` benchmark scenario does exactly that).
 
 Payloads are **canonical**: dict keys sorted, floats serialized by
 ``repr`` through ``json.dumps`` with no whitespace variance, arrays as
