@@ -31,10 +31,10 @@ import json
 import os
 import pickle
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.extrae.trace import Trace
+from repro.folding.spec import FoldSpec
 from repro.util.staging import staged, sweep_staging
 
 __all__ = ["FOLD_CACHE_VERSION", "FoldCache"]
@@ -116,32 +116,24 @@ class FoldCache:
         self._memo: OrderedDict[str, object] = OrderedDict()
 
     # -- keys ----------------------------------------------------------------
-    def key(self, trace: Trace, *, kind: str = "report", **params) -> str:
-        """Content address of (trace, fold kind, fold parameters).
+    def key(self, trace_digest: str, spec: FoldSpec) -> str:
+        """Content address of the fold *spec* describes over a trace.
 
-        *kind* discriminates entry families that are **not**
-        bit-identical to each other.  Exact resident and counters-only
-        streamed folds share the default ``"report"`` (a streamed entry
-        is a strict subset of the resident report, same bits where they
-        overlap); extrapolated representative folds use
-        ``"extrapolated"`` and multi-direction streamed reports use
-        ``"streamed"`` — their address/line products are bounded
-        summaries (reservoir, sketch, count matrices), so sharing a key
-        with an exact entry would silently serve approximations to
-        exact callers (and vice versa) whenever fit parameters
-        coincide.
+        *trace_digest* is the trace's content digest: ``trace.digest()``,
+        or the digest a :class:`~repro.repo.TraceRepo` stored the
+        container under (equal by construction), so a caller holding
+        only the digest derives the address the fold was stored at.
+        The spec's :meth:`~repro.folding.spec.FoldSpec.cache_key`
+        supplies the rest, including a *kind* that discriminates entry
+        families that are **not** bit-identical to each other: exact
+        resident and counters-only streamed folds share ``"report"``,
+        while representative folds (``"extrapolated"``) and
+        multi-direction streamed reports (``"streamed"``) carry
+        approximations — extrapolated curves, or bounded summaries
+        (reservoir, sketch, count matrices) — that must never be served
+        to exact callers, or vice versa, when fit parameters coincide.
         """
-        return self.key_digest(trace.digest(), kind=kind, **params)
-
-    def key_digest(self, trace_digest: str, *, kind: str = "report", **params) -> str:
-        """:meth:`key` from an already-known trace content digest.
-
-        Identical to ``key(trace, ...)`` for a trace whose ``digest()``
-        equals *trace_digest* — callers that know the digest without
-        holding the trace (the analysis service resolves digests from
-        the repository index) derive the same addresses as the fold
-        workers that later populate the entry.
-        """
+        kind, params = spec.cache_key()
         blob = json.dumps(
             {
                 "cache_version": FOLD_CACHE_VERSION,
@@ -190,7 +182,11 @@ class FoldCache:
     def put(self, key: str, report) -> Path:
         """Store *report* under *key* (atomic), then enforce the bound.
 
-        The pickle is published by :func:`~repro.util.staging.staged`
+        A resident report is stored without its input trace (the
+        caller's report keeps it): the key names the trace, and
+        :func:`~repro.folding.report.fold_trace` reattaches the live
+        one on a hit.  The pickle is published by
+        :func:`~repro.util.staging.staged`
         — concurrent readers of the same key see either the previous
         complete entry or the new complete entry, never a torn pickle,
         and concurrent writers of the same key are last-writer-wins
@@ -198,6 +194,8 @@ class FoldCache:
         writer dying inside the window leaves the published entry
         untouched; its staging file is swept by :meth:`prune`/:meth:`clear`.
         """
+        if getattr(report, "trace", None) is not None:
+            report = replace(report, trace=None)
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
         with staged(path) as staging, staging.open("wb") as f:
@@ -299,10 +297,8 @@ def _rewrap(report):
     full reports under identical keys) have nothing mutable to shield
     and pass through as-is.
     """
-    from dataclasses import replace as _replace
-
     addresses = getattr(report, "addresses", None)
     if addresses is None:
         return report
-    fresh = _replace(addresses, bands=list(addresses.bands))
-    return _replace(report, addresses=fresh)
+    fresh = replace(addresses, bands=list(addresses.bands))
+    return replace(report, addresses=fresh)

@@ -179,7 +179,12 @@ def extrapolated_fold(
     bandwidth: float = 0.015,
     counters: tuple[str, ...] = SAMPLE_COUNTERS,
 ) -> ExtrapolatedFold:
-    """Fold only *representatives*' samples, extrapolate by weight."""
+    """Fold only *representatives*' samples, extrapolate by weight.
+
+    ``fold_trace(trace, rep_budget=N)`` selects the representatives
+    itself; a prebuilt selection (another region, seed or instance
+    set) folds here, outside the cache.
+    """
     table = trace.sample_table()
     t = table.time_ns
     instances = representatives.instances

@@ -66,8 +66,14 @@ class FoldPlan:
     ) -> "FoldPlan":
         """Run the expensive trace-dependent folding work once.
 
-        Parameters mirror :func:`repro.folding.report.fold_trace` —
-        everything *except* the fit parameters, which stay free.
+        *prune_tolerance* and *align_regions* are the
+        :class:`~repro.folding.spec.FoldSpec` fields of the same name;
+        the fit parameters stay free.  *instances* (default:
+        consecutive iteration markers) and *registry* (default: the
+        trace's object records) fold region instances or custom data
+        objects — the custom folds that
+        :func:`~repro.folding.report.fold_trace` and its cache leave
+        to this layer.
         """
         if instances is None:
             instances = instances_from_iterations(trace)

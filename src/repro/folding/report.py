@@ -100,10 +100,7 @@ def fold_trace(
     spec: FoldSpec | None = None,
     *,
     cache=None,
-    instances: FoldInstances | None = None,
-    registry: DataObjectRegistry | None = None,
     chunk_rows: int | None = None,
-    representatives=None,
     report_every: int | None = None,
     on_snapshot=None,
     **fields,
@@ -113,8 +110,9 @@ def fold_trace(
     *spec* (default ``FoldSpec()``) fixes what is folded; keyword
     *fields* override single spec fields, so
     ``fold_trace(trace, grid_points=101, bandwidth=0.02)`` needs no
-    spec.  The product follows the spec
-    (:class:`~repro.folding.spec.FoldSpec` documents each field):
+    spec.  The product is a function of (trace, spec) alone and
+    follows the spec (:class:`~repro.folding.spec.FoldSpec` documents
+    each field):
 
     * by default the three-direction :class:`FoldedReport`, equivalent
       to ``FoldPlan.from_trace(...).fold(...)`` — callers that fold the
@@ -139,58 +137,29 @@ def fold_trace(
 
     cache:
         Optional :class:`repro.folding.cache.FoldCache`.  When given,
-        a fold previously stored for a bit-identical trace at the same
-        spec is returned from disk; otherwise the fresh fold is stored
-        before returning.  Explicit *instances*, *registry* or
-        *representatives* bypass the cache (the key does not capture
-        them).
-    instances:
-        Fold boundaries; default: consecutive iteration markers.  Not
-        for streaming folds.
-    registry:
-        Data objects; default: the trace's own object records.  For the
-        resident fold, or a streaming fold with the address direction.
+        the fold stored for a trace with the same content digest at
+        the same spec is returned; otherwise the fresh fold is stored
+        before returning.
     chunk_rows / report_every / on_snapshot:
         Streaming folds only: rows per chunk and periodic partial-curve
         snapshots (see :func:`~repro.folding.stream.stream_fold_trace`).
-    representatives:
-        A prebuilt :class:`~repro.folding.reps.Representatives`
-        selection to fold and extrapolate instead of the exact fold.
-    """
-    from repro.folding.plan import FoldPlan
 
+    Folds that depend on more than the spec sit one layer down and are
+    never cached: fold region instances or a custom object registry
+    with ``FoldPlan.from_trace(trace, instances=..., registry=...)``,
+    and a prebuilt :class:`~repro.folding.reps.Representatives`
+    selection with
+    :func:`~repro.folding.extrapolate.extrapolated_fold`.
+    """
     spec = replace(spec or FoldSpec(), **fields)
-    rep_fold = spec.rep_budget is not None or representatives is not None
-    if rep_fold and (
-        registry is not None or spec.streaming or spec.align_regions is not None
-    ):
-        raise ValueError(
-            "representative folds use the linear per-instance projection "
-            "and carry no address view — registry, align_regions and "
-            "streaming need the exact fold"
-        )
     if spec.streaming:
         from repro.folding.stream import DEFAULT_CHUNK_ROWS, stream_fold_trace
 
-        if instances is not None:
-            raise ValueError(
-                "streaming folds derive instances from the trace — explicit "
-                "instances need the resident fold"
-            )
-        if registry is not None and (
-            spec.directions is None or "address" not in spec.directions
-        ):
-            raise ValueError(
-                "an explicit registry only matters to the streamed address "
-                "direction — pass directions including 'address', or use "
-                "the resident fold"
-            )
         return stream_fold_trace(
             trace,
             spec,
             chunk_rows=chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS,
             cache=cache,
-            registry=registry,
             report_every=report_every,
             on_snapshot=on_snapshot,
         )
@@ -200,15 +169,11 @@ def fold_trace(
             "streaming folds"
         )
 
-    key = None
-    # Explicit instances, registry or selection are not part of the key.
-    if cache is not None and all(
-        arg is None for arg in (instances, registry, representatives)
-    ):
-        from repro.folding.extrapolate import ExtrapolatedFold
+    from repro.folding.extrapolate import ExtrapolatedFold, extrapolated_fold
 
-        kind, params = spec.cache_key()
-        key = cache.key(trace, kind=kind, **params)
+    rep_fold = spec.rep_budget is not None
+    if cache is not None:
+        key = cache.key(trace.digest(), spec)
         hit = cache.get(key)
         # A counters-only streamed entry can share a resident key; it
         # cannot serve a full report, so it counts as a miss (the fresh
@@ -221,33 +186,29 @@ def fold_trace(
                 hit.trace = trace
             return hit
     if rep_fold:
-        from repro.folding.extrapolate import extrapolated_fold
         from repro.folding.reps import select_representatives
 
-        if representatives is None:
-            representatives = select_representatives(
-                trace,
-                instances=instances,
-                budget=spec.rep_budget,
-                seed=spec.rep_seed,
-                prune_tolerance=spec.prune_tolerance,
-            )
-        fold = stored = extrapolated_fold(
+        representatives = select_representatives(
+            trace,
+            budget=spec.rep_budget,
+            seed=spec.rep_seed,
+            prune_tolerance=spec.prune_tolerance,
+        )
+        fold = extrapolated_fold(
             trace,
             representatives,
             grid_points=spec.grid_points,
             bandwidth=spec.bandwidth,
         )
     else:
+        from repro.folding.plan import FoldPlan
+
         plan = FoldPlan.from_trace(
             trace,
-            instances=instances,
-            registry=registry,
             prune_tolerance=spec.prune_tolerance,
             align_regions=spec.align_regions,
         )
         fold = plan.fold(grid_points=spec.grid_points, bandwidth=spec.bandwidth)
-        stored = replace(fold, trace=None)
-    if key is not None:
-        cache.put(key, stored)
+    if cache is not None:
+        cache.put(key, fold)
     return fold

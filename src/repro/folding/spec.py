@@ -11,9 +11,14 @@ analysis service's ``/fold`` route.  So the defaults, the range checks,
 the rules for combining paths and the
 :class:`~repro.folding.cache.FoldCache` address are written once, here.
 
-Settings that change how a fold runs but not what it produces — the
-cache, explicit instances or registry, chunk size, a prebuilt
-representative selection — stay outside the spec and its key.
+A fold entry's product is a function of (trace, spec) alone.  Its
+other arguments — the cache, chunk size and live snapshots — change
+how a fold runs, not what it produces.  Folds that depend on more than
+the spec sit one layer down and are never cached: custom instances or
+a custom registry go through
+:meth:`FoldPlan.from_trace <repro.folding.plan.FoldPlan.from_trace>`,
+a prebuilt representative selection through
+:func:`~repro.folding.extrapolate.extrapolated_fold`.
 """
 
 from __future__ import annotations
@@ -120,12 +125,15 @@ class FoldSpec:
     def cache_key(self) -> tuple[str, dict]:
         """The :class:`~repro.folding.cache.FoldCache` ``(kind, params)``.
 
-        Pass as ``cache.key(trace, kind=kind, **params)``.  Exact
-        resident and counters-only streamed folds share ``"report"``
-        (a streamed entry is a strict subset of the resident report,
-        same bits where they overlap); representative folds are
-        ``"extrapolated"`` and multi-direction streamed reports
-        ``"streamed"``, whose caller adds its reservoir settings.
+        :meth:`FoldCache.key <repro.folding.cache.FoldCache.key>`
+        hashes them with the trace digest.  Exact resident and
+        counters-only streamed folds share ``"report"`` (a streamed
+        entry is a strict subset of the resident report, same bits
+        where they overlap); representative folds are
+        ``"extrapolated"``.  Multi-direction streamed reports are
+        ``"streamed"`` and also carry the reservoir and line-bin
+        settings :func:`~repro.folding.stream.stream_fold_trace`
+        builds their bounded summaries with.
         """
         params = {
             "grid_points": self.grid_points,
@@ -139,5 +147,14 @@ class FoldSpec:
                 "rep_seed": self.rep_seed,
             }
         if self.directions is not None:
-            return "streamed", {**params, "directions": self.directions}
+            from repro.folding.stream_views import LINE_SIGMA_BINS, RESERVOIR_CAPACITY
+
+            return "streamed", {
+                **params,
+                "directions": self.directions,
+                "reservoir_capacity": RESERVOIR_CAPACITY,
+                "reservoir_seed": 0,
+                "reservoir_weighting": "uniform",
+                "line_sigma_bins": LINE_SIGMA_BINS,
+            }
         return "report", {**params, "align_regions": self.align_regions}

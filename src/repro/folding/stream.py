@@ -510,15 +510,9 @@ def stream_fold_trace(
     spec: FoldSpec | None = None,
     *,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    counters: tuple[str, ...] = SAMPLE_COUNTERS,
     cache=None,
     report_every: int | None = None,
     on_snapshot=None,
-    registry: DataObjectRegistry | None = None,
-    reservoir_capacity: int = RESERVOIR_CAPACITY,
-    reservoir_seed: int = 0,
-    reservoir_weighting: str = "uniform",
-    line_sigma_bins: int = LINE_SIGMA_BINS,
     **fields,
 ) -> StreamedFold | StreamedReport:
     """Fold a trace chunk by chunk — exact, two passes, O(chunk) memory.
@@ -530,6 +524,15 @@ def stream_fold_trace(
     again and accumulates the design.  The result's curves, totals and
     degenerate flags are bit-identical to the resident
     :func:`~repro.folding.report.fold_trace` at the same parameters.
+    The product depends on (trace, spec) alone: it always folds
+    :data:`~repro.simproc.machine.SAMPLE_COUNTERS`, resolves addresses
+    against the trace's own object records (as the resident fold plan
+    does), and builds the bounded summaries with the
+    :mod:`~repro.folding.stream_views` constants — ``RESERVOIR_CAPACITY``
+    reservoir points, seed 0, uniform weighting, ``LINE_SIGMA_BINS``
+    line bins — which the spec's cache key records.  Other settings
+    are an :class:`~repro.folding.stream_views.AddressStream` or
+    :class:`LiveFold` concern.
 
     Parameters
     ----------
@@ -548,7 +551,9 @@ def stream_fold_trace(
         extra directions were accumulated in the same pass 2, still in
         O(chunk + summary) memory.
     chunk_rows:
-        Rows per streamed chunk.
+        Rows per streamed chunk.  Not part of the cache key: the
+        products are chunk-size-invariant, so any chunking serves any
+        other.
     cache:
         Optional :class:`~repro.folding.cache.FoldCache`.  For the
         counters-only fold, keys are identical to the resident fold's,
@@ -564,50 +569,27 @@ def stream_fold_trace(
         chunks of the accumulation pass.
     on_snapshot:
         ``callable(FoldedCounters)`` for the periodic snapshots.
-    registry:
-        Object registry for the streamed address direction (default:
-        built from the trace's object records, exactly as the resident
-        fold plan does).
-    reservoir_capacity / reservoir_seed / reservoir_weighting:
-        Scatter reservoir knobs
-        (:class:`~repro.folding.stream_views.AddressReservoir`).
-    line_sigma_bins:
-        σ resolution of the streamed line/region count matrices.
     """
     spec = replace(spec or FoldSpec(), streaming=True, **fields)
     trace = source if isinstance(source, Trace) else Trace.load(source)
     dirs = spec.directions
     want_address = dirs is not None and "address" in dirs
     want_lines = dirs is not None and "lines" in dirs
-    if dirs is not None and registry is not None:
-        # An explicit registry is not captured by the key (exactly as
-        # the resident fold treats explicit registries): bypass.
-        cache = None
     key = None
     if cache is not None:
-        kind, params = spec.cache_key()
-        if kind == "streamed":
-            # chunk_rows is deliberately absent: the products are
-            # chunk-size-invariant, so any chunking serves any other.
-            params.update(
-                reservoir_capacity=reservoir_capacity,
-                reservoir_seed=reservoir_seed,
-                reservoir_weighting=reservoir_weighting,
-                line_sigma_bins=line_sigma_bins,
-            )
-        key = cache.key(trace, kind=kind, **params)
+        key = cache.key(trace.digest(), spec)
         hit = _adapt_cache_hit(cache.get(key), dirs)
         if hit is not None:
             return hit
     instances = instances_from_iterations(trace)
     if spec.prune_tolerance is not None and instances.n >= 3:
         instances = instances.prune_outliers(spec.prune_tolerance)
-    names = ("time_ns", *counters)
+    names = ("time_ns", *SAMPLE_COUNTERS)
     pass1_names = names + (("address",) if want_address else ())
     prologue = build_prologue(
         trace.iter_sample_chunks(pass1_names, chunk_rows),
         instances,
-        counters,
+        SAMPLE_COUNTERS,
         track_address=want_address,
     )
     acc = StreamingFold(
@@ -617,18 +599,12 @@ def stream_fold_trace(
     line_stream = None
     extras: tuple[str, ...] = ()
     if want_address:
-        if registry is None:
-            registry = DataObjectRegistry(trace.objects)
         addr_stream = AddressStream(
-            registry,
-            prologue.addr_range,
-            capacity=reservoir_capacity,
-            seed=reservoir_seed,
-            weighting=reservoir_weighting,
+            DataObjectRegistry(trace.objects), prologue.addr_range
         )
         extras += ("address", "op", "source", "latency")
     if want_lines:
-        line_stream = LineStream(trace.callstack, sigma_bins=line_sigma_bins)
+        line_stream = LineStream(trace.callstack)
         extras += ("callstack_id",)
     starts, ends = instances.starts_ns, instances.ends_ns
     for chunk in trace.iter_sample_chunks(names + extras, chunk_rows):

@@ -44,21 +44,23 @@ def fold_payload_job(
     """The *direction* payload of the container at *path* folded by *spec*.
 
     Returns ``(canonical body bytes, folded)``.  The cache entry is
-    looked up under *digest*, the container's content digest as the
-    repository resolved it, so a hit hashes nothing.  The trace is
-    loaded and folded only on a miss, or when the entry cannot serve
+    addressed by *digest*, the container's content digest as the
+    repository resolved it: a hit hashes nothing, and a fold is stored
+    under the same key, so the trace is never hashed again.  The trace
+    is loaded and folded only on a miss, or when the entry cannot serve
     *direction*: only the resident :class:`FoldedReport` reproduces
     the exact address and line payloads, while any entry under the key
     serves the counters.  *points* bounds the scatter/track rows of
     address/lines payloads (:func:`~repro.service.payloads.fold_payload`).
     """
     fold_cache = _cache(cache_dir)
-    kind, params = spec.cache_key()
-    hit = fold_cache.get(fold_cache.key_digest(digest, kind=kind, **params))
+    key = fold_cache.key(digest, spec)
+    hit = fold_cache.get(key)
     if hit is not None and (
         direction == "counters" or isinstance(hit, FoldedReport)
     ):
         return canonical_bytes(fold_payload(hit, direction, points)), False
     with Trace.load(path) as trace:
-        fold = fold_trace(trace, spec, cache=fold_cache)
+        fold = fold_trace(trace, spec)
+        fold_cache.put(key, fold)
         return canonical_bytes(fold_payload(fold, direction, points)), True

@@ -125,10 +125,11 @@ class TestFoldedReport:
 
     def test_explicit_instances(self, hpcg_trace):
         from repro.folding.detect import instances_from_regions
+        from repro.folding.plan import FoldPlan
 
-        report = fold_trace(
+        report = FoldPlan.from_trace(
             hpcg_trace, instances=instances_from_regions(hpcg_trace, "ComputeSPMV_ref")
-        )
+        ).fold()
         # SPMV-only fold: no SYMGS code lines inside.
         files = {file for _, file, _ in report.lines.line_table}
         assert "ComputeSYMGS_ref.cpp" not in files

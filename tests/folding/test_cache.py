@@ -13,8 +13,8 @@ import pytest
 from repro.cli import main_cache, main_fold
 from repro.extrae.tracer import TracerConfig
 from repro.folding.cache import FoldCache
-from repro.folding.plan import FoldPlan
 from repro.folding.report import fold_trace
+from repro.folding.spec import FoldSpec
 from repro.pipeline import SessionConfig, run_workload
 from repro.util.staging import STAGING_SUFFIX
 from repro.workloads.stream import StreamConfig, StreamWorkload
@@ -69,34 +69,39 @@ class TestTraceDigest:
         assert t.digest() != before
 
 
+def key_for(cache, trace, **fields):
+    """The cache key of *trace* folded by ``FoldSpec(**fields)``."""
+    return cache.key(trace.digest(), FoldSpec(**fields))
+
+
 class TestCacheKey:
     def test_deterministic(self, trace, cache):
-        a = cache.key(trace, grid_points=201, bandwidth=0.015)
-        assert a == cache.key(trace, grid_points=201, bandwidth=0.015)
+        a = key_for(cache, trace, grid_points=201, bandwidth=0.015)
+        assert a == key_for(cache, trace, grid_points=201, bandwidth=0.015)
 
     def test_params_change_key(self, trace, cache):
-        base = cache.key(trace, grid_points=201, bandwidth=0.015)
-        assert cache.key(trace, grid_points=101, bandwidth=0.015) != base
-        assert cache.key(trace, grid_points=201, bandwidth=0.02) != base
+        base = key_for(cache, trace, grid_points=201, bandwidth=0.015)
+        assert key_for(cache, trace, grid_points=101, bandwidth=0.015) != base
+        assert key_for(cache, trace, grid_points=201, bandwidth=0.02) != base
 
     def test_tuple_params_canonical(self, trace, cache):
-        a = cache.key(trace, align_regions=("a", "b"))
-        assert a == cache.key(trace, align_regions=("a", "b"))
-        assert a != cache.key(trace, align_regions=("b", "a"))
+        a = key_for(cache, trace, align_regions=("a", "b"))
+        assert a == key_for(cache, trace, align_regions=("a", "b"))
+        assert a != key_for(cache, trace, align_regions=("b", "a"))
 
 
 class TestFoldCache:
     def test_miss_returns_none(self, trace, cache):
-        assert cache.get(cache.key(trace, bandwidth=0.015)) is None
+        assert cache.get(key_for(cache, trace)) is None
 
     def test_round_trip(self, trace, cache):
         report = fold_trace(trace)
-        key = cache.key(trace, bandwidth=0.015)
+        key = key_for(cache, trace)
         cache.put(key, report)
         assert_reports_identical(cache.get(key), report)
 
     def test_disk_tier_survives_new_instance(self, trace, cache):
-        key = cache.key(trace, bandwidth=0.015)
+        key = key_for(cache, trace)
         cache.put(key, fold_trace(trace))
         fresh = FoldCache(directory=cache.directory)
         assert fresh.get(key) is not None
@@ -104,18 +109,18 @@ class TestFoldCache:
     def test_memo_bound(self, trace, cache):
         report = fold_trace(trace)
         for i in range(cache.memo_entries + 4):
-            cache.put(cache.key(trace, i=i), report)
+            cache.put(key_for(cache, trace, grid_points=2 + i), report)
         assert len(cache._memo) == cache.memo_entries
 
     def test_memo_disabled(self, trace, tmp_path):
         c = FoldCache(directory=tmp_path, memo_entries=0)
-        key = c.key(trace)
+        key = key_for(c, trace)
         c.put(key, fold_trace(trace))
         assert len(c._memo) == 0
         assert c.get(key) is not None  # disk tier still works
 
     def test_corrupt_entry_is_miss_and_deleted(self, trace, cache):
-        key = cache.key(trace, bandwidth=0.015)
+        key = key_for(cache, trace)
         path = cache.put(key, fold_trace(trace))
         path.write_bytes(b"not a pickle")
         fresh = FoldCache(directory=cache.directory)  # empty memo
@@ -124,7 +129,7 @@ class TestFoldCache:
 
     def test_prune_evicts_lru(self, trace, cache):
         report = fold_trace(trace)
-        keys = [cache.key(trace, i=i) for i in range(3)]
+        keys = [key_for(cache, trace, grid_points=2 + i) for i in range(3)]
         paths = [cache.put(k, report) for k in keys]
         size = paths[0].stat().st_size
         # Bound fits two entries: the oldest must go.
@@ -135,21 +140,21 @@ class TestFoldCache:
     def test_put_enforces_max_bytes(self, trace, tmp_path):
         report = fold_trace(trace)
         probe = FoldCache(directory=tmp_path / "probe")
-        size = probe.put(probe.key(trace), report).stat().st_size
+        size = probe.put(key_for(probe, trace), report).stat().st_size
         c = FoldCache(directory=tmp_path / "bounded", max_bytes=2 * size + 16)
         for i in range(4):
-            c.put(c.key(trace, i=i), report)
+            c.put(key_for(c, trace, grid_points=2 + i), report)
         assert c.stats().n_entries == 2
 
     def test_clear(self, trace, cache):
-        cache.put(cache.key(trace), fold_trace(trace))
+        cache.put(key_for(cache, trace), fold_trace(trace))
         assert cache.clear() == 1
         assert cache.stats().n_entries == 0
         assert len(cache._memo) == 0
-        assert cache.get(cache.key(trace)) is None
+        assert cache.get(key_for(cache, trace)) is None
 
     def test_stats_summary(self, trace, cache):
-        cache.put(cache.key(trace), fold_trace(trace))
+        cache.put(key_for(cache, trace), fold_trace(trace))
         stats = cache.stats()
         assert stats.n_entries == 1 and stats.total_bytes > 0
         assert "entries: 1" in stats.summary()
@@ -169,7 +174,7 @@ class TestConcurrentCache:
         # (a) the previously published entry readable and (b) only an
         # invisible staging file behind — readers can never see a torn
         # pickle because the entry path is only ever written by rename.
-        key = cache.key(trace)
+        key = key_for(cache, trace)
         report = fold_trace(trace)
         path = cache.put(key, report)
         published = path.read_bytes()
@@ -195,14 +200,14 @@ class TestConcurrentCache:
         assert os.replace is real_replace
 
     def test_clear_sweeps_stale_tmp_files(self, trace, cache):
-        cache.put(cache.key(trace), fold_trace(trace))
+        cache.put(key_for(cache, trace), fold_trace(trace))
         stale = cache.directory / f"orphan{STAGING_SUFFIX}"
         stale.write_bytes(b"partial")
         assert cache.clear() == 1  # the staging file is not an entry
         assert not stale.exists()
 
     def test_prune_sweeps_old_tmp_keeps_fresh(self, trace, cache):
-        cache.put(cache.key(trace), fold_trace(trace))
+        cache.put(key_for(cache, trace), fold_trace(trace))
         old = cache.directory / f"old{STAGING_SUFFIX}"
         old.write_bytes(b"x")
         os.utime(old, (time.time() - 7200, time.time() - 7200))
@@ -214,7 +219,10 @@ class TestConcurrentCache:
 
     def test_stats_and_prune_tolerate_concurrent_deletion(self, trace, cache):
         report = fold_trace(trace)
-        paths = [cache.put(cache.key(trace, i=i), report) for i in range(3)]
+        paths = [
+            cache.put(key_for(cache, trace, grid_points=2 + i), report)
+            for i in range(3)
+        ]
 
         real_stat = Path.stat
 
@@ -241,7 +249,7 @@ class TestConcurrentCache:
         import threading
 
         report = fold_trace(trace)
-        key = cache.key(trace)
+        key = key_for(cache, trace)
         stop = threading.Event()
         errors = []
 
@@ -288,19 +296,13 @@ class TestFoldTraceIntegration:
 
     def test_stored_entry_has_no_trace(self, trace, cache):
         report = fold_trace(trace, cache=cache)
-        key = cache.key(
-            trace,
-            grid_points=201,
-            bandwidth=0.015,
-            prune_tolerance=0.5,
-            align_regions=None,
-        )
-        path = cache._path(key)
+        path = cache._path(key_for(cache, trace))
         assert path.exists()
         with path.open("rb") as f:
             stored = pickle.load(f)
         assert stored.trace is None
         assert_reports_identical(stored, report)
+        assert report.trace is trace  # the caller's report keeps it
 
     def test_hit_annotations_do_not_pollute(self, trace, cache):
         fold_trace(trace, cache=cache)
@@ -316,11 +318,6 @@ class TestFoldTraceIntegration:
             a.counters.curves["instructions"].cumulative,
             b.counters.curves["instructions"].cumulative,
         )
-
-    def test_explicit_instances_bypass_cache(self, trace, cache):
-        plan = FoldPlan.from_trace(trace)
-        fold_trace(trace, instances=plan.instances, cache=cache)
-        assert cache.stats().n_entries == 0
 
     def test_analyze_hpcg_accepts_cache(self, hpcg_trace, tmp_path):
         from repro.pipeline import analyze_hpcg

@@ -22,6 +22,7 @@ from repro.folding.cache import FoldCache
 from repro.folding.extrapolate import (
     ExtrapolatedFold,
     exact_performance_fold,
+    extrapolated_fold,
     measure_fidelity,
 )
 from repro.folding.report import FoldedReport, fold_trace
@@ -30,6 +31,7 @@ from repro.folding.reps import (
     derive_instances,
     select_representatives,
 )
+from repro.folding.spec import FoldSpec
 from repro.folding.stream import fold_digest
 from repro.pipeline import run_workload
 from repro.simproc.machine import SAMPLE_COUNTERS
@@ -216,7 +218,7 @@ class TestExtrapolation:
 
     def test_prebuilt_representatives(self, trace, instances):
         reps = select_representatives(trace, instances=instances, budget=2)
-        via_obj = fold_trace(trace, representatives=reps)
+        via_obj = extrapolated_fold(trace, reps)
         via_budget = fold_trace(trace, rep_budget=2)
         assert via_obj.digest() == via_budget.digest()
 
@@ -262,17 +264,13 @@ class TestCacheKeying:
 
     def test_kind_discriminates_keys(self, trace, tmp_path):
         cache = FoldCache(tmp_path)
-        params = dict(grid_points=201, bandwidth=0.015,
-                      prune_tolerance=0.5)
-        exact_key = cache.key(trace, align_regions=None, **params)
-        ext_key = cache.key(trace, kind="extrapolated", rep_budget=3,
-                            rep_seed=0, **params)
+        digest = trace.digest()
+        exact_key = cache.key(digest, FoldSpec())
+        ext_key = cache.key(digest, FoldSpec(rep_budget=3, rep_seed=0))
         assert exact_key != ext_key
         # budget and seed are both part of the key
-        assert ext_key != cache.key(trace, kind="extrapolated", rep_budget=4,
-                                    rep_seed=0, **params)
-        assert ext_key != cache.key(trace, kind="extrapolated", rep_budget=3,
-                                    rep_seed=1, **params)
+        assert ext_key != cache.key(digest, FoldSpec(rep_budget=4, rep_seed=0))
+        assert ext_key != cache.key(digest, FoldSpec(rep_budget=3, rep_seed=1))
 
     def test_entries_never_alias(self, trace, tmp_path):
         """An extrapolated store never surfaces on the exact path and
@@ -300,12 +298,3 @@ class TestCacheKeying:
         # a different budget misses
         other = fold_trace(trace, cache=cache, rep_budget=3, rep_seed=5)
         assert other.representatives.budget == 3
-
-    def test_prebuilt_selection_bypasses_cache(self, trace, tmp_path):
-        """A hand-built selection is not captured by the key, so it
-        must not be served from (or stored into) the cache."""
-        cache = FoldCache(tmp_path)
-        fold_trace(trace, cache=cache, rep_budget=2)  # seeds the cache
-        worst = select_representatives(trace, budget=2, seed=99)
-        via_obj = fold_trace(trace, representatives=worst, cache=cache)
-        assert via_obj.representatives.seed == 99

@@ -1,25 +1,31 @@
 """FoldSpec: one checked value behind every fold entry.
 
-Two contracts:
+Three contracts:
 
 * the spec rejects out-of-range parameters and impossible path
   combinations on construction, with the error texts the wiring tests
   match on;
 * every fold entry addresses the FoldCache through the spec, under
   keys byte-identical to the hand-written keys of FOLD_CACHE_VERSION 2
-  — pinned here as literal digests, so an existing cache stays warm.
+  — pinned here as literal digests, so an existing cache stays warm;
+* a fold entry's product depends on (trace, spec) alone: its other
+  keywords only run the fold, and a cached read equals the uncached
+  fold.
 """
 
-from dataclasses import replace
+import inspect
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.folding.cache import FOLD_CACHE_VERSION, FoldCache
-from repro.folding.report import fold_trace
+from repro.folding.report import FoldedReport, fold_trace
 from repro.folding.spec import FoldSpec
-from repro.folding.stream import stream_fold_trace
+from repro.folding.stream import fold_digest, stream_fold_trace
+from repro.folding.stream_views import StreamedReport
 
 from tests.folding.test_cache import stream_trace
+from tests.folding.test_plan import assert_reports_identical
 
 #: Stand-in trace digest, so the pins do not depend on the simulator.
 DIGEST = "0123456789abcdef" * 4
@@ -87,8 +93,8 @@ class _KeyRecorder(FoldCache):
         super().__init__(directory=tmp_path)
         self.keys = []
 
-    def key(self, trace, *, kind="report", **params):
-        key = self.key_digest(DIGEST, kind=kind, **params)
+    def key(self, trace_digest, spec):
+        key = super().key(DIGEST, spec)
         self.keys.append(key)
         return key
 
@@ -118,17 +124,63 @@ PINNED = [
 ]
 
 
+PINNED_IDS = [
+    "resident", "grid", "bandwidth", "align", "reps_seed",
+    "streamed_counters", "fold_trace_streamed_counters",
+    "streamed_three", "fold_trace_streamed_three",
+]
+
+
 class TestCacheKeys:
     def test_cache_version_unchanged(self):
         assert FOLD_CACHE_VERSION == 2
 
-    @pytest.mark.parametrize("entry, pinned", PINNED, ids=[
-        "resident", "grid", "bandwidth", "align", "reps_seed",
-        "streamed_counters", "fold_trace_streamed_counters",
-        "streamed_three", "fold_trace_streamed_three",
-    ])
+    @pytest.mark.parametrize("entry, pinned", PINNED, ids=PINNED_IDS)
     def test_entry_keys_are_pinned(self, trace, tmp_path, entry, pinned):
         recorder = _KeyRecorder(tmp_path)
         with pytest.raises(_KeyRecorder.Taken):
             entry(trace, recorder)
         assert recorder.keys == [pinned]
+
+    @pytest.mark.parametrize("entry", [e for e, _ in PINNED], ids=PINNED_IDS)
+    def test_cached_read_equals_uncached_fold(self, trace, tmp_path, entry):
+        uncached = entry(trace, None)
+        entry(trace, FoldCache(tmp_path))  # stores
+        hit = entry(trace, FoldCache(tmp_path))  # empty memo: a disk read
+        assert type(hit) is type(uncached)
+        if isinstance(hit, StreamedReport):
+            # every streamed direction, the performance one included
+            assert hit.digest() == uncached.digest()
+        else:
+            assert fold_digest(hit) == fold_digest(uncached)
+        if isinstance(hit, FoldedReport):
+            assert_reports_identical(hit, uncached)
+
+    def test_streamed_key_records_the_summary_settings(self, trace):
+        spec = FoldSpec(streaming=True, directions=THREE)
+        _, params = spec.cache_key()
+        report = stream_fold_trace(trace, spec)
+        assert (
+            params["reservoir_capacity"],
+            params["reservoir_seed"],
+            params["reservoir_weighting"],
+            params["line_sigma_bins"],
+        ) == (
+            report.addresses.capacity,
+            report.addresses.seed,
+            report.addresses.weighting,
+            report.lines.sigma_bins,
+        )
+
+
+class TestFoldEntryArguments:
+    """A fold entry's product depends on (trace, FoldSpec) alone."""
+
+    @pytest.mark.parametrize("entry", [fold_trace, stream_fold_trace])
+    def test_keywords_outside_the_spec_only_run_the_fold(self, entry):
+        params = inspect.signature(entry).parameters.values()
+        keywords = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        spec_fields = {f.name for f in fields(FoldSpec)}
+        assert keywords - spec_fields == {
+            "cache", "chunk_rows", "report_every", "on_snapshot"
+        }

@@ -167,11 +167,6 @@ class TestFoldTraceStreamingApi:
         with pytest.raises(ValueError):
             fold_trace(trace, streaming=True, align_regions=("triad",))
 
-    def test_streaming_rejects_explicit_instances(self, trace):
-        instances = instances_from_iterations(trace)
-        with pytest.raises(ValueError):
-            fold_trace(trace, instances=instances, streaming=True)
-
     def test_chunk_rows_requires_streaming(self, trace):
         with pytest.raises(ValueError):
             fold_trace(trace, chunk_rows=128)

@@ -27,13 +27,13 @@ from repro.folding.stream import LiveFold, StreamedFold, stream_fold_trace
 from repro.folding.stream_views import (
     AddressAccounting,
     AddressReservoir,
+    AddressStream,
     DensitySketch,
     StreamedReport,
     lines_from_folded,
     measure_address_fidelity,
     sketch_from_scatter,
 )
-from repro.objects.registry import DataObjectRegistry
 from repro.pipeline import SessionConfig, run_workload
 from repro.workloads import HpcgWorkload
 from repro.workloads.stream import StreamConfig, StreamWorkload
@@ -68,6 +68,22 @@ def streamed(trace):
     report = stream_fold_trace(trace, chunk_rows=333, directions=DIRECTIONS)
     assert isinstance(report, StreamedReport)
     return report
+
+
+def fed_addresses(resident, chunk_rows, addr_range=None, **settings):
+    """The streamed address direction of *resident*'s scatter, fed to an
+    :class:`AddressStream` with reservoir *settings*, *chunk_rows* kept
+    samples at a time in stream order (``stream_fold_trace`` always
+    builds the default reservoir)."""
+    r = resident.addresses
+    stream = AddressStream(r.registry, addr_range, **settings)
+    for lo in range(0, r.n, chunk_rows):
+        part = slice(lo, lo + chunk_rows)
+        stream.add(
+            r.sigma[part], r.address[part], r.op[part], r.source[part],
+            r.latency[part],
+        )
+    return stream.result()
 
 
 def assert_directions_match_resident(report, resident):
@@ -159,28 +175,29 @@ class TestChunkInvariance:
             )
             assert other.digest() == streamed.digest()
 
+    def test_feed_reproduces_stream_fold_trace(self, resident, streamed):
+        """Fed at stream_fold_trace's reservoir settings, the address
+        stream rebuilds its address direction bit for bit, so the
+        custom reservoirs below fold what stream_fold_trace folds."""
+        sketch = streamed.addresses.sketch
+        fed = fed_addresses(resident, 333, (sketch.lo, sketch.hi))
+        assert fed.digest() == streamed.addresses.digest()
+
     @pytest.mark.parametrize("weighting", ["uniform", "latency"])
-    def test_small_reservoir_invariant(self, trace, weighting):
+    def test_small_reservoir_invariant(self, resident, weighting):
         reports = [
-            stream_fold_trace(
-                trace,
-                chunk_rows=chunk_rows,
-                directions=DIRECTIONS,
-                reservoir_capacity=64,
-                reservoir_seed=7,
-                reservoir_weighting=weighting,
+            fed_addresses(
+                resident, chunk_rows, capacity=64, seed=7, weighting=weighting
             )
             for chunk_rows in (13, 997)
         ]
         assert reports[0].digest() == reports[1].digest()
-        assert reports[0].addresses.n == 64
+        assert reports[0].n == 64
 
-    def test_small_reservoir_subsamples_resident(self, trace, resident):
+    def test_small_reservoir_subsamples_resident(self, resident):
         """Every surviving point is the resident point at its global
         kept index — the reservoir never fabricates samples."""
-        a = stream_fold_trace(
-            trace, chunk_rows=333, directions=DIRECTIONS, reservoir_capacity=128
-        ).addresses
+        a = fed_addresses(resident, 333, capacity=128)
         r = resident.addresses
         assert a.n == 128
         assert a.n_folded == r.n
@@ -190,15 +207,9 @@ class TestChunkInvariance:
         )
         np.testing.assert_array_equal(a.latency, r.latency[a.kept_index])
 
-    def test_seed_changes_selection(self, trace):
+    def test_seed_changes_selection(self, resident):
         picks = [
-            stream_fold_trace(
-                trace,
-                chunk_rows=333,
-                directions=DIRECTIONS,
-                reservoir_capacity=64,
-                reservoir_seed=seed,
-            ).addresses.kept_index
+            fed_addresses(resident, 333, capacity=64, seed=seed).kept_index
             for seed in (0, 1)
         ]
         assert not np.array_equal(picks[0], picks[1])
@@ -254,12 +265,11 @@ class TestBoundedSummaryUnits:
         assert edges.size == streamed.addresses.sketch.bands + 1
         assert edges[0] == streamed.addresses.sketch.lo
 
-    def test_measured_reservoir_error_small(self, trace, resident):
+    def test_measured_reservoir_error_small(self, resident, streamed):
         """A genuinely subsampling reservoir: the measured band error
         is small but non-zero — the bound is real, not vacuous."""
-        a = stream_fold_trace(
-            trace, chunk_rows=333, directions=DIRECTIONS, reservoir_capacity=256
-        ).addresses
+        sketch = streamed.addresses.sketch
+        a = fed_addresses(resident, 333, (sketch.lo, sketch.hi), capacity=256)
         fidelity = measure_address_fidelity(a, resident.addresses)
         assert fidelity.sketch_band_error == 0.0
         assert 0.0 < fidelity.reservoir_band_error < 0.1
@@ -331,22 +341,6 @@ class TestApiWiring:
         with pytest.raises(ValueError):
             fold_trace(trace, directions=DIRECTIONS)
 
-    def test_streaming_registry_needs_address_direction(self, trace):
-        with pytest.raises(ValueError):
-            fold_trace(
-                trace, streaming=True,
-                registry=DataObjectRegistry(trace.objects),
-            )
-
-    def test_explicit_registry_accepted(self, trace, streamed):
-        report = stream_fold_trace(
-            trace,
-            chunk_rows=333,
-            directions=DIRECTIONS,
-            registry=DataObjectRegistry(trace.objects),
-        )
-        assert report.digest() == streamed.digest()
-
     def test_export_gnuplot(self, streamed, resident, tmp_path):
         written = streamed.export_gnuplot(tmp_path)
         names = {p.name for p in written}
@@ -386,21 +380,6 @@ class TestCacheKindSeparation:
         again = stream_fold_trace(trace, directions=DIRECTIONS, cache=cache)
         assert isinstance(again, StreamedReport)
         assert again.digest() == first.digest()
-
-    def test_explicit_registry_bypasses_cache(self, trace, tmp_path):
-        cache = FoldCache(directory=tmp_path)
-        stream_fold_trace(
-            trace, chunk_rows=333, directions=DIRECTIONS, cache=cache
-        )
-        before = cache.stats().n_entries
-        stream_fold_trace(
-            trace,
-            chunk_rows=333,
-            directions=DIRECTIONS,
-            registry=DataObjectRegistry(trace.objects),
-            cache=cache,
-        )
-        assert cache.stats().n_entries == before
 
     def test_annotations_do_not_bleed_into_cache(self, trace, tmp_path):
         cache = FoldCache(directory=tmp_path)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.extrae.trace import Trace
 from repro.folding.cache import FoldCache
 from repro.folding.report import fold_trace
 from repro.folding.spec import DIRECTIONS, FoldSpec
@@ -55,8 +56,16 @@ def _direct(trace, direction, spec=FoldSpec()):
     ],
     ids=["counters", "address", "lines", "streamed", "reps"],
 )
-def test_body_equals_direct_fold_then_hits(traced, stored, tmp_path, direction, spec):
+def test_body_equals_direct_fold_then_hits(
+    traced, stored, tmp_path, monkeypatch, direction, spec
+):
     want = _direct(traced, direction, spec)
+
+    def no_hashing(trace):
+        raise AssertionError("the worker hashed the trace")
+
+    # the repository digest addresses the entry: no job hashes a trace
+    monkeypatch.setattr(Trace, "digest", no_hashing)
     assert _job(stored, tmp_path, direction, spec) == (want, True)
     # the disk entry serves a worker that never saw the fold...
     work._cache.cache_clear()
@@ -68,13 +77,16 @@ def test_body_equals_direct_fold_then_hits(traced, stored, tmp_path, direction, 
 
 
 def test_counters_only_entry_serves_counters_not_addresses(traced, stored, tmp_path):
-    kind, params = FoldSpec().cache_key()
     cache = FoldCache(tmp_path)
     streamed = fold_trace(traced, streaming=True)
     assert isinstance(streamed, StreamedFold)
-    cache.put(cache.key_digest(stored.digest, kind=kind, **params), streamed)
+    cache.put(cache.key(stored.digest, FoldSpec()), streamed)
 
     assert _job(stored, tmp_path, "counters") == (_direct(traced, "counters"), False)
+    # a streamed spec shares the resident key, and gets its own payload
+    streaming = FoldSpec(streaming=True)
+    want = _direct(traced, "counters", streaming)
+    assert _job(stored, tmp_path, "counters", streaming) == (want, False)
     # a StreamedFold carries no address view: the job folds, and the
     # resident report it stores serves the next address request
     want = _direct(traced, "address")
