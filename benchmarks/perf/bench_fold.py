@@ -54,13 +54,15 @@ def make_trace():
     )
 
 
-def export_rowwise(report, directory: str | Path) -> list[Path]:
+def export_rowwise(report, directory: str | Path, bands=()) -> list[Path]:
     """Per-row reference of every file ``report.export_gnuplot`` writes.
 
     One f-string and one ``write`` per row, as the exporter did before
     the block writer of :mod:`repro.folding.export`; the files must be
     byte-identical.  Covers every fold product: the resident report, a
-    streamed report and the counters-only folds.
+    streamed report and the counters-only folds.  *bands* are the
+    labelled address ranges a figure adds to ``objects.dat`` (a fold
+    product carries none).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -126,7 +128,7 @@ def export_rowwise(report, directory: str | Path) -> list[Path]:
         for rec in records:
             f.write(f"{rec.name} {rec.kind} {rec.start:#x} {rec.end:#x} "
                     f"{rec.bytes_user}\n")
-        for band in a.bands:
+        for band in bands:
             f.write(f"{band.label} band {band.lo:#x} {band.hi:#x} 0\n")
     return written
 

@@ -16,6 +16,7 @@ from repro.analysis.bandwidth import phase_bandwidth_MBps
 from repro.analysis.metrics import RunMetrics, run_metrics
 from repro.analysis.phases import IterationPhases, segment_iteration
 from repro.analysis.sweeps import Sweep, detect_sweeps
+from repro.folding.address import AddressBand
 from repro.folding.report import FoldedReport
 from repro.simproc.calibration import PAPER_TARGETS
 from repro.util.tables import format_table
@@ -39,6 +40,9 @@ class Figure1:
     legend: dict[str, float]
     #: sampled stores that hit the matrix (lower) address region
     stores_in_matrix_region: int
+    #: the layout bands drawn beside the address panel (the paper's
+    #: ghost/bottom/top), from the trace's ``annotations`` metadata
+    bands: tuple[AddressBand, ...]
     matrix_span: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
@@ -113,9 +117,16 @@ class Figure1:
         return "\n".join(lines)
 
     def export(self, directory: str | Path) -> list[Path]:
-        """Write the gnuplot panels plus the rendered summary."""
+        """Write the gnuplot panels plus the rendered summary.
+
+        ``objects.dat`` lists the report's data objects, then the
+        figure's :attr:`bands`.
+        """
+        from repro.folding.export import export_objects_dat
+
         directory = Path(directory)
         written = self.report.export_gnuplot(directory)
+        export_objects_dat(self.report.registry, self.bands, directory)
         summary = directory / "figure1.txt"
         summary.write_text(self.render() + "\n")
         written.append(summary)
@@ -126,14 +137,15 @@ def build_figure1(report: FoldedReport) -> Figure1:
     """Run the full §III analysis over a folded HPCG report."""
     phases = segment_iteration(report.trace, report.instances, report.samples)
 
-    # Annotate the address panel with the layout bands the paper shows.
+    # The layout bands the paper draws beside the address panel.
     annotations = report.trace.metadata.get("annotations", {})
     matrix_span = None
+    bands = []
     for label, (lo, hi) in annotations.items():
         if label == "matrix_span":
             matrix_span = (int(lo), int(hi))
         else:
-            report.addresses.annotate(label, int(lo), int(hi))
+            bands.append(AddressBand(label, int(lo), int(hi)))
 
     # Sweep detection over the matrix structure per SYMGS/SPMV phase.
     sweeps: dict[str, list[Sweep]] = {}
@@ -181,5 +193,6 @@ def build_figure1(report: FoldedReport) -> Figure1:
         metrics=run_metrics(report),
         legend=legend,
         stores_in_matrix_region=stores_in_matrix,
+        bands=tuple(bands),
         matrix_span=matrix_span,
     )

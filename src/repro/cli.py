@@ -683,8 +683,6 @@ def main_serve(argv: list[str] | None = None) -> int:
                         "(default <root>/foldcache)")
     p.add_argument("--trace-cache", type=int, default=8,
                    help="open traces kept mapped (default 8)")
-    p.add_argument("--max-requests", type=int, default=None,
-                   help="stop after N requests (for tests/benchmarks)")
     args = p.parse_args(argv)
 
     from repro.repo import TraceRepo
@@ -698,7 +696,6 @@ def main_serve(argv: list[str] | None = None) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         trace_cache_capacity=args.trace_cache,
-        max_requests=args.max_requests,
     )
 
     async def _serve():

@@ -188,6 +188,10 @@ class ColumnReader:
             raise zipfile.BadZipFile(f"{self.path}: missing member {member!r}")
         return np.dtype(spec["dtype"]), int(spec["n"]), info
 
+    def mapped(self, name: str) -> bool:
+        """Whether :meth:`load` maps *name* rather than inflating it."""
+        return self._spec(name)[2].compress_type == zipfile.ZIP_STORED
+
     def load(self, name: str) -> np.ndarray:
         """Materialize one column (cached)."""
         cached = self.loaded.get(name)

@@ -52,6 +52,7 @@ from repro.extrae.storage import (
     SIDECAR_MEMBER,
     TRACE_COMPRESSIONS,
     ColumnReader,
+    iter_chunks,
     write_columns,
 )
 from repro.simproc.machine import SAMPLE_COUNTERS, SampleBlock
@@ -133,6 +134,10 @@ class SampleTable:
     def column(self, name: str) -> np.ndarray:
         return self._columns[name]
 
+    def column_parts(self, name: str):
+        """The values of one column in row order, as C-contiguous arrays."""
+        yield np.ascontiguousarray(self._columns[name])
+
     def select(self, mask: np.ndarray) -> "SampleTable":
         """Subset by boolean mask or index array."""
         return SampleTable({k: v[mask] for k, v in self.columns().items()})
@@ -183,6 +188,16 @@ class _LazySampleTable(SampleTable):
 
     def columns(self) -> dict[str, np.ndarray]:
         return {name: self.column(name) for name in _SAMPLE_COLUMNS}
+
+    def column_parts(self, name: str):
+        """The column itself once loaded or when memory-mapped; a
+        deflated column inflates chunk by chunk and is not kept."""
+        reader = self._reader
+        if name in reader.loaded or reader.mapped(name):
+            yield self.column(name)
+            return
+        for chunk in iter_chunks(reader.path, (name,)):
+            yield chunk[name].astype(_SAMPLE_COLUMNS[name], copy=False)
 
     def materialize(self) -> SampleTable:
         """An in-memory copy, decoupled from the backing file."""
@@ -419,6 +434,11 @@ class Trace:
         traces with equal digests fold identically; the report cache
         (:class:`repro.folding.cache.FoldCache`) uses this as its
         content address.  Cached until the next mutating ``add_*``.
+
+        Each column is hashed from its own buffer, or, when a lazily
+        loaded container stores it deflated, chunk by chunk: the digest
+        of a saved trace costs O(chunk) memory, and loads nothing it
+        did not have.
         """
         if self._digest is not None:
             return self._digest
@@ -428,9 +448,9 @@ class Trace:
         h = hashlib.sha256()
         h.update(json.dumps(self._sidecar(schema=1), sort_keys=True).encode())
         for name in sorted(_SAMPLE_COLUMNS):
-            col = np.ascontiguousarray(table.column(name))
             h.update(name.encode())
-            h.update(col.tobytes())
+            for part in table.column_parts(name):
+                h.update(part)
         self._digest = h.hexdigest()
         return self._digest
 
@@ -507,7 +527,7 @@ class Trace:
         the consolidated table.  Either way the streaming fold
         (:mod:`repro.folding.stream`) consumes the same chunk shape.
         """
-        from repro.extrae.storage import DEFAULT_CHUNK_ROWS, iter_chunks
+        from repro.extrae.storage import DEFAULT_CHUNK_ROWS
 
         if chunk_rows is None:
             chunk_rows = DEFAULT_CHUNK_ROWS

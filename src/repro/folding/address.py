@@ -5,11 +5,14 @@ its operation (load/store), data source, access latency and — once
 resolved — its data object.  This is the middle panel of Figure 1:
 address ramps reveal sweep direction, black (store) points reveal
 which regions are written, and object annotations name the streams.
+The view is a value of the fold; the labelled bands a figure draws
+beside it (:class:`AddressBand`) belong to the figure
+(:class:`~repro.analysis.figures.Figure1`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +37,9 @@ class AddressBand:
             raise ValueError(f"band {self.label!r} is empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FoldedAddresses:
-    """The folded address scatter plus its annotations."""
+    """The folded address scatter, one row per folded sample."""
 
     sigma: np.ndarray
     address: np.ndarray
@@ -46,7 +49,6 @@ class FoldedAddresses:
     #: resolved object index (into ``registry.records``), -1 unmatched
     object_index: np.ndarray
     registry: DataObjectRegistry
-    bands: list[AddressBand] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -62,9 +64,6 @@ class FoldedAddresses:
 
     def matched_fraction(self) -> float:
         return float((self.object_index >= 0).mean()) if self.n else 0.0
-
-    def annotate(self, label: str, lo: int, hi: int) -> None:
-        self.bands.append(AddressBand(label, lo, hi))
 
     def in_range(self, lo: int, hi: int) -> np.ndarray:
         """Mask of samples whose address falls in ``[lo, hi)``."""

@@ -155,14 +155,13 @@ class FoldCache:
         The memo tier is consulted first; a disk hit refreshes the
         entry's mtime (LRU bookkeeping) and populates the memo.
         Entries that cannot be read or unpickled are deleted and
-        reported as misses — the caller just refolds.  Every hit
-        returns a fresh report wrapper (annotation bands copied), so
-        annotating one returned report does not bleed into later hits.
+        reported as misses — the caller just refolds.  Fold products
+        are frozen values, so every hit hands out the stored object.
         """
         memo = self._memo.get(key)
         if memo is not None:
             self._memo.move_to_end(key)
-            return _rewrap(memo)
+            return memo
         path = self._path(key)
         try:
             with path.open("rb") as f:
@@ -177,15 +176,16 @@ class FoldCache:
         except OSError:
             pass
         self._memoize(key, report)
-        return _rewrap(report)
+        return report
 
     def put(self, key: str, report) -> Path:
         """Store *report* under *key* (atomic), then enforce the bound.
 
-        A resident report is stored without its input trace (the
-        caller's report keeps it): the key names the trace, and
-        :func:`~repro.folding.report.fold_trace` reattaches the live
-        one on a hit.  The pickle is published by
+        A resident report is stored, and memoized, without its input
+        trace (the caller's report keeps it): the key names the trace,
+        and :func:`~repro.folding.report.fold_trace` hands each hit's
+        caller a copy carrying its own live trace.  The pickle is
+        published by
         :func:`~repro.util.staging.staged`
         — concurrent readers of the same key see either the previous
         complete entry or the new complete entry, never a torn pickle,
@@ -200,7 +200,7 @@ class FoldCache:
         path = self._path(key)
         with staged(path) as staging, staging.open("wb") as f:
             pickle.dump(report, f, protocol=pickle.HIGHEST_PROTOCOL)
-        self._memoize(key, _rewrap(report))
+        self._memoize(key, report)
         self.prune()
         return path
 
@@ -285,20 +285,3 @@ def _canonical(value):
         return list(value)
     return value
 
-
-def _rewrap(report):
-    """A fresh report wrapper sharing *report*'s arrays.
-
-    Callers may mutate the returned report's annotation bands
-    (``report.addresses.annotate(...)``); re-wrapping on every memo
-    store/hit keeps those mutations out of the memoized entry.
-    Entries without an address view (the counters-only
-    :class:`~repro.folding.stream.StreamedFold` shares this cache with
-    full reports under identical keys) have nothing mutable to shield
-    and pass through as-is.
-    """
-    addresses = getattr(report, "addresses", None)
-    if addresses is None:
-        return report
-    fresh = replace(addresses, bands=list(addresses.bands))
-    return replace(report, addresses=fresh)

@@ -38,7 +38,7 @@ ones (the memory-access-vectors protocol, arXiv 2506.02344).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +121,7 @@ class FidelityBound:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtrapolatedFold:
     """A counters-only fold extrapolated from weighted representatives.
 
@@ -142,7 +142,7 @@ class ExtrapolatedFold:
     n_folded: int
     representatives: Representatives
     #: measured error vs. the exact fold, when a harness computed one
-    fidelity: FidelityBound | None = field(default=None)
+    fidelity: FidelityBound | None = None
 
     def digest(self) -> str:
         return fold_digest(self)
@@ -328,5 +328,4 @@ def measure_fidelity(
         exact_digest=exact.digest(),
         extrapolated_digest=ext.digest(),
     )
-    ext.fidelity = bound
-    return ext, bound
+    return replace(ext, fidelity=bound), bound

@@ -129,28 +129,18 @@ class FoldPlan:
     ):
         """Assemble the full three-direction report at one fit point.
 
-        Everything but the counter fit is shared with the plan; the
-        address view is re-wrapped (arrays shared, annotation bands
-        fresh) so annotating one report does not leak into the next.
+        Everything but the counter fit is shared with the plan: the
+        views are frozen values, so every report of the plan can hold
+        the same ones.
         """
         from repro.folding.report import FoldedReport
 
-        addresses = FoldedAddresses(
-            sigma=self.addresses.sigma,
-            address=self.addresses.address,
-            op=self.addresses.op,
-            source=self.addresses.source,
-            latency=self.addresses.latency,
-            object_index=self.addresses.object_index,
-            registry=self.addresses.registry,
-            bands=list(self.addresses.bands),
-        )
         return FoldedReport(
             trace=self.trace,
             instances=self.instances,
             samples=self.samples,
             counters=self.fold_counters(grid_points, bandwidth, counters),
-            addresses=addresses,
+            addresses=self.addresses,
             lines=self.lines,
             registry=self.registry,
         )

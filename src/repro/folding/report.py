@@ -6,6 +6,13 @@ and performance".  :func:`fold_trace` assembles all three from a trace
 in one call; :class:`FoldedReport` carries them plus export helpers
 that write gnuplot-style data files, as the original BSC Folding tool
 does.
+
+Every fold product — :class:`FoldedReport`, its
+:class:`~repro.folding.address.FoldedAddresses`, and the streamed and
+extrapolated folds — is a frozen value holding only what (trace,
+:class:`~repro.folding.spec.FoldSpec`) determines, so the
+:class:`~repro.folding.cache.FoldCache` stores and hands out one
+object.  Derive a variant with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from repro.objects.registry import DataObjectRegistry
 __all__ = ["FoldedReport", "fold_trace"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FoldedReport:
     """Source code × memory accesses × performance, folded."""
 
@@ -75,7 +82,7 @@ class FoldedReport:
         * ``codeline.dat`` — σ, line-id, function, file, line
         * ``addresses.dat`` — σ, address, op, source, latency, object
         * ``counters.dat`` — σ, MIPS, IPC, per-instruction rates
-        * ``objects.dat`` — registry records plus annotation bands
+        * ``objects.dat`` — the registry's records
 
         Every file goes through the block writer of
         :mod:`repro.folding.export`; its number formats are the file
@@ -91,7 +98,7 @@ class FoldedReport:
             export.export_codeline_dat(self.lines, directory),
             export.export_addresses_dat(self.addresses, self.registry, directory),
             export.export_counters_dat(self.counters, directory),
-            export.export_objects_dat(self.registry, self.addresses.bands, directory),
+            export.export_objects_dat(self.registry, (), directory),
         ]
 
 
@@ -179,12 +186,9 @@ def fold_trace(
         # cannot serve a full report, so it counts as a miss (the fresh
         # report then overwrites the entry).
         if isinstance(hit, ExtrapolatedFold if rep_fold else FoldedReport):
-            if not rep_fold:
-                # Entries are stored without the (large) input trace;
-                # the caller's live trace is bit-identical by key
-                # construction.
-                hit.trace = trace
-            return hit
+            # Entries are stored without the (large) input trace; the
+            # caller's live trace is bit-identical by key construction.
+            return hit if rep_fold else replace(hit, trace=trace)
     if rep_fold:
         from repro.folding.reps import select_representatives
 

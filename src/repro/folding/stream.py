@@ -397,7 +397,7 @@ class StreamingFold:
         """Partial curves over the chunks folded so far."""
         return self._fit()
 
-    def result(self, chunk_rows: int = 0) -> "StreamedFold":
+    def result(self) -> "StreamedFold":
         """Finalize after the full stream has been folded in."""
         p = self.prologue
         if self.n_folded != p.n_kept:
@@ -411,8 +411,6 @@ class StreamingFold:
             totals=dict(p.totals),
             degenerate=dict(p.degenerate),
             n_folded=self.n_folded,
-            n_chunks=self.n_chunks,
-            chunk_rows=int(chunk_rows),
         )
 
 
@@ -421,7 +419,7 @@ class StreamingFold:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamedFold:
     """The counters-only fold a streaming pass produces.
 
@@ -429,7 +427,10 @@ class StreamedFold:
     :class:`~repro.folding.report.FoldedReport` knows about the
     performance direction — fitted curves, per-instance totals and
     degenerate flags, instance set — without the O(trace) sample views.
-    :func:`fold_digest` compares the two shapes directly.
+    :func:`fold_digest` compares the two shapes directly.  Like every
+    fold product it is a frozen value of (trace, spec): how a pass was
+    chunked is not part of it, so a cache hit reads the same whichever
+    run stored it.
     """
 
     instances: FoldInstances
@@ -438,28 +439,18 @@ class StreamedFold:
     degenerate: dict[str, np.ndarray]
     #: samples that fell inside an instance and entered the design
     n_folded: int
-    #: chunks consumed by the accumulation pass (0 for cache adaptions)
-    n_chunks: int = 0
-    #: row-chunk size of the accumulation pass (0 when not applicable)
-    chunk_rows: int = 0
 
     def digest(self) -> str:
         return fold_digest(self)
 
     def summary(self) -> str:
-        parts = [
+        return "\n".join([
             f"Streamed fold over {self.instances.n} instances "
             f"of {self.instances.name!r}",
             f"  mean instance duration: "
             f"{self.instances.mean_duration_ns / 1e6:.3f} ms",
             f"  samples folded: {self.n_folded}",
-        ]
-        if self.n_chunks:
-            parts.append(
-                f"  streamed in {self.n_chunks} chunks of "
-                f"{self.chunk_rows} rows"
-            )
-        return "\n".join(parts)
+        ])
 
     def export_gnuplot(self, directory: str | Path) -> list[Path]:
         """Write the performance panel (``counters.dat``) only."""
@@ -637,7 +628,7 @@ def stream_fold_trace(
             and acc.n_folded
         ):
             on_snapshot(acc.snapshot())
-    result = acc.result(chunk_rows=chunk_rows)
+    result = acc.result()
     if dirs is not None:
         result = StreamedReport(
             performance=result,
@@ -772,7 +763,6 @@ class LiveFold:
         self._finished = False
         self.n_rows = 0
         self.n_folded = 0
-        self.n_chunks = 0
 
     @property
     def required_columns(self) -> tuple[str, ...]:
@@ -793,7 +783,6 @@ class LiveFold:
             raise ValueError("LiveFold is finished")
         cols = _chunk_columns(chunk, self.required_columns)
         t = cols["time_ns"]
-        self.n_chunks += 1
         if t.size == 0:
             return
         if (np.diff(t) < 0.0).any() or (
@@ -861,7 +850,6 @@ class LiveFold:
                 n: np.asarray(v, dtype=bool) for n, v in self._degen.items()
             },
             n_folded=self.n_folded,
-            n_chunks=self.n_chunks,
         )
 
     # -- partial output ----------------------------------------------------
@@ -901,7 +889,6 @@ class LiveFold:
                 for n, v in self._degen.items()
             },
             n_folded=self.n_folded,
-            n_chunks=self.n_chunks,
         )
         return StreamedReport(
             performance=performance,

@@ -38,12 +38,12 @@ the per-direction accumulators and the combined
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.folding.address import AddressBand, FoldedAddresses
+from repro.folding.address import FoldedAddresses
 from repro.folding.lines import FoldedLines, LineTableBuilder
 from repro.memsim.datasource import DataSource
 from repro.memsim.patterns import MemOp
@@ -402,7 +402,7 @@ def sketch_from_scatter(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamedAddresses:
     """The streamed stand-in for :class:`FoldedAddresses`.
 
@@ -432,7 +432,6 @@ class StreamedAddresses:
     capacity: int
     seed: int
     weighting: str
-    bands: list[AddressBand] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -456,9 +455,6 @@ class StreamedAddresses:
         """Exact matched fraction, from the accounting (not the
         reservoir)."""
         return self.accounting.matched_fraction()
-
-    def annotate(self, label: str, lo: int, hi: int) -> None:
-        self.bands.append(AddressBand(label, lo, hi))
 
     def in_range(self, lo: int, hi: int) -> np.ndarray:
         return (self.address >= lo) & (self.address < hi)
@@ -763,7 +759,7 @@ def lines_from_folded(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamedReport:
     """All streamed fold directions of one trace.
 
@@ -835,7 +831,7 @@ class StreamedReport:
         * ``counters.dat`` — identical to the resident export
         * ``addresses.dat`` — the reservoir points, resident columns
         * ``address_density.dat`` — the sketch (band lo/hi × σ-bin)
-        * ``objects.dat`` — registry records plus annotation bands
+        * ``objects.dat`` — the registry's records
         * ``codeline_density.dat`` — per-line σ-bin counts
 
         Every file goes through the block writer of
@@ -851,7 +847,7 @@ class StreamedReport:
             written.append(export.export_addresses_dat(a, a.registry, directory))
             if a.sketch is not None:
                 written.append(export.export_address_density_dat(a.sketch, directory))
-            written.append(export.export_objects_dat(a.registry, a.bands, directory))
+            written.append(export.export_objects_dat(a.registry, (), directory))
         if self.lines is not None:
             written.append(export.export_codeline_density_dat(self.lines, directory))
         return written

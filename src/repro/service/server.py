@@ -16,9 +16,9 @@ is how it stays fast under many concurrent clients:
   decoded reports stay in the workers and the loop keeps answering
   cheap queries.  A pool broken by a dead worker is replaced, and its
   requests answer ``503``.
-* **Request coalescing** — concurrent requests for the same
-  ``(digest, fold spec)`` await one shared future; the fold is
-  computed once and fanned out.
+* **Request coalescing** — concurrent requests for the same fold
+  payload (one ETag) await one shared future; the fold is computed
+  once and fanned out.
 * **Content-addressed caching** — the loop keeps an LRU of serialized
   response bodies and stamps every payload response with a strong
   ``ETag``, so revalidating clients get ``304 Not Modified`` with no
@@ -50,11 +50,10 @@ import logging
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict
 from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.folding.cache import FOLD_CACHE_VERSION, FoldCache
+from repro.folding.cache import FoldCache
 from repro.folding.spec import DIRECTIONS, FoldSpec
 from repro.repo import RepoError, TraceRepo
 from repro.service.payloads import PAYLOAD_VERSION, canonical_bytes, seal
@@ -157,14 +156,12 @@ class AnalysisServer:
         cache_dir: str | Path | None = None,
         trace_cache_capacity: int = 8,
         response_cache_bytes: int = 64 * 1024 * 1024,
-        max_requests: int | None = None,
     ) -> None:
         self.repo = repo
         self.host = host
         self.port = port
         self.workers = max(1, int(workers))
         self.cache_dir = Path(cache_dir) if cache_dir else repo.root / "foldcache"
-        self.max_requests = max_requests
         self.tables = SharedTraceCache(capacity=trace_cache_capacity)
         self.responses = _ResponseCache(response_cache_bytes)
         self.fold_cache = FoldCache(self.cache_dir)
@@ -223,15 +220,6 @@ class AnalysisServer:
         if loop is not None and self._stopped is not None:
             loop.call_soon_threadsafe(self._stopped.set)
 
-    def _count_request(self) -> None:
-        self.counters["requests"] += 1
-        if (
-            self.max_requests is not None
-            and self.counters["requests"] >= self.max_requests
-            and self._stopped is not None
-        ):
-            self._stopped.set()
-
     # -- HTTP plumbing -------------------------------------------------------
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -259,7 +247,7 @@ class AnalysisServer:
                     if ":" in line:
                         k, v = line.split(":", 1)
                         headers[k.strip().lower()] = v.strip()
-                self._count_request()
+                self.counters["requests"] += 1
                 keep_alive = headers.get("connection", "").lower() != "close"
                 status, body, extra = await self._dispatch(method, target, headers)
                 await self._write_response(writer, status, body, extra, keep_alive)
@@ -408,20 +396,23 @@ class AnalysisServer:
         )
         return 200, canonical_bytes(payload), {}
 
-    @staticmethod
     def _fold_etag(
-        digest: str, direction: str, spec: FoldSpec, points: int
+        self, digest: str, direction: str, spec: FoldSpec, points: int
     ) -> str:
         """Strong validator of one fold payload (also its cache and
-        coalescing key)."""
+        coalescing key).
+
+        It names the fold the way the fold cache does,
+        ``FoldCache.key(digest, spec)``, so spellings of one fold
+        (``stream=1``, a ``seed=`` without ``reps=``) share one tag;
+        a counters payload ignores *points*.
+        """
         blob = json.dumps(
             {
                 "payload_version": PAYLOAD_VERSION,
-                "cache_version": FOLD_CACHE_VERSION,
-                "trace": digest,
+                "fold": self.fold_cache.key(digest, spec),
                 "direction": direction,
-                "spec": asdict(spec),
-                "points": points,
+                "points": points if direction != "counters" else 0,
             },
             sort_keys=True,
             separators=(",", ":"),

@@ -13,7 +13,7 @@ Regenerate *intentionally* after a deliberate behavior change with::
 
     python -m repro.validate.golden tests/golden
 
-and check without writing (what CI runs) with::
+and check without writing (what the tier-1 tests run) with::
 
     python -m repro.validate.golden --check tests/golden
 """

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.figures import build_figure1
 from repro.analysis.metrics import phase_metrics, run_metrics
+from repro.folding.address import AddressBand
 from repro.workloads.hpcg.problem import MAP_GROUP_NAME, MATRIX_GROUP_NAME
 
 
@@ -64,8 +65,28 @@ class TestFigure1:
         assert hpcg_figure.stores_in_matrix_region == 0
 
     def test_annotation_bands_attached(self, hpcg_figure):
-        labels = {b.label for b in hpcg_figure.report.addresses.bands}
+        labels = {b.label for b in hpcg_figure.bands}
         assert {"bottom", "top", "ghost"} <= labels
+        with pytest.raises(ValueError):
+            AddressBand("x", 10, 10)
+
+    def test_second_figure_of_one_report_is_the_same(
+        self, hpcg_report, hpcg_figure, tmp_path
+    ):
+        """The bands belong to the figure: building another figure of
+        the same report neither adds bands nor changes an export."""
+        again = build_figure1(hpcg_report)
+        assert again.bands == hpcg_figure.bands
+        first = hpcg_figure.export(tmp_path / "first")
+        second = again.export(tmp_path / "second")
+        assert [p.read_bytes() for p in first] == [p.read_bytes() for p in second]
+        rows = (tmp_path / "first" / "objects.dat").read_text().splitlines()
+        bands = [row.split()[0] for row in rows if row.split()[1] == "band"]
+        assert bands == [b.label for b in hpcg_figure.bands]
+        # The report's own export lists its objects, not the figure's bands.
+        hpcg_report.export_gnuplot(tmp_path / "report")
+        rows = (tmp_path / "report" / "objects.dat").read_text().splitlines()
+        assert len(rows) == 1 + len(hpcg_report.registry.records)
 
     def test_render_contains_tables(self, hpcg_figure):
         text = hpcg_figure.render()

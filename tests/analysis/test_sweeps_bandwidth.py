@@ -1,5 +1,7 @@
 """Tests for sweep detection and the bandwidth approximation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,9 +58,8 @@ class TestDetectSweeps:
         sigma = np.sort(rng.random(n))
         band = rng.integers(0, 2, n)
         addr = (sigma * 1e6 + band * 1.5e4).astype(np.uint64)
-        a = synthetic_addresses()
-        a.sigma, a.address = sigma, addr
-        a.op = np.zeros(n, dtype=np.int64)
+        a = replace(synthetic_addresses(), sigma=sigma, address=addr,
+                    op=np.zeros(n, dtype=np.int64))
         sweeps = [s for s in detect_sweeps(a, bins=32) if s.n_samples > 500]
         assert len(sweeps) == 1
         assert sweeps[0].direction == 1
@@ -73,9 +74,8 @@ class TestDetectSweeps:
         sigma = np.sort(rng.random(n))
         band = rng.integers(0, 2, n)
         addr = (sigma * 1e6 + band * 5e7).astype(np.uint64)
-        a = synthetic_addresses()
-        a.sigma, a.address = sigma, addr
-        a.op = np.zeros(n, dtype=np.int64)
+        a = replace(synthetic_addresses(), sigma=sigma, address=addr,
+                    op=np.zeros(n, dtype=np.int64))
         # Raw detection: directionless (honest, not wrong).
         raw = [s for s in detect_sweeps(a, bins=32) if s.n_samples > 500]
         assert all(s.direction == 0 for s in raw)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.folding.address import AddressBand, fold_addresses
+from repro.folding.address import fold_addresses
 from repro.folding.detect import instances_from_iterations
 from repro.folding.fold import fold_samples
 from repro.folding.lines import fold_lines
@@ -56,12 +56,6 @@ class TestFoldedAddresses:
         assert slope > 0  # forward sweep at the iteration start
         with pytest.raises(ValueError):
             addresses.sweep_of(np.zeros(addresses.n, dtype=bool))
-
-    def test_annotate_bands(self, addresses):
-        addresses.annotate("test-band", 0, 100)
-        assert addresses.bands[-1].label == "test-band"
-        with pytest.raises(ValueError):
-            AddressBand("x", 10, 10)
 
 
 class TestFoldedLines:

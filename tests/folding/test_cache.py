@@ -4,6 +4,7 @@ content digest it keys on."""
 import os
 import pickle
 import time
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +16,7 @@ from repro.extrae.tracer import TracerConfig
 from repro.folding.cache import FoldCache
 from repro.folding.report import fold_trace
 from repro.folding.spec import FoldSpec
+from repro.folding.stream import stream_fold_trace
 from repro.pipeline import SessionConfig, run_workload
 from repro.util.staging import STAGING_SUFFIX
 from repro.workloads.stream import StreamConfig, StreamWorkload
@@ -304,11 +306,23 @@ class TestFoldTraceIntegration:
         assert_reports_identical(stored, report)
         assert report.trace is trace  # the caller's report keeps it
 
-    def test_hit_annotations_do_not_pollute(self, trace, cache):
+    def test_hits_carry_their_own_trace_and_leave_the_entry_bare(
+        self, trace, cache, tmp_path
+    ):
+        """Each hit is a copy carrying its caller's trace; the memoized
+        entry never pins one."""
+        from repro.extrae.trace import Trace
+
+        trace.save(tmp_path / "twin.bsctrace")
+        twin = Trace.load(tmp_path / "twin.bsctrace")
         fold_trace(trace, cache=cache)
-        hit = fold_trace(trace, cache=cache)
-        hit.addresses.annotate("scratch", 0, 1024)
-        assert fold_trace(trace, cache=cache).addresses.bands == []
+        first = fold_trace(trace, cache=cache)
+        second = fold_trace(twin, cache=cache)
+        assert first.trace is trace
+        assert second.trace is twin
+        entry = cache.get(key_for(cache, trace))
+        assert entry.trace is None
+        assert first.counters is entry.counters is second.counters
 
     def test_different_params_are_different_entries(self, trace, cache):
         a = fold_trace(trace, cache=cache, bandwidth=0.015)
@@ -327,6 +341,42 @@ class TestFoldTraceIntegration:
         assert cache.stats().n_entries == 1
         report_b, _ = analyze_hpcg(hpcg_trace, cache=cache)
         assert_reports_identical(report_a, report_b)
+
+
+DIRECTIONS = ("counters", "address", "lines")
+
+#: Each fold product, built from a trace.
+PRODUCTS = {
+    "FoldedReport": lambda t: fold_trace(t),
+    "FoldedAddresses": lambda t: fold_trace(t).addresses,
+    "StreamedFold": lambda t: stream_fold_trace(t),
+    "StreamedReport": lambda t: stream_fold_trace(t, directions=DIRECTIONS),
+    "StreamedAddresses": lambda t: stream_fold_trace(
+        t, directions=DIRECTIONS
+    ).addresses,
+    "ExtrapolatedFold": lambda t: fold_trace(t, rep_budget=2),
+}
+
+
+class TestFoldProductsAreValues:
+    """A fold product holds only what (trace, spec) determines and is
+    frozen, so the cache can hand every caller the stored object."""
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_fields_are_frozen(self, trace, name):
+        product = PRODUCTS[name](trace)
+        assert type(product).__name__ == name
+        for field in fields(product):
+            with pytest.raises(FrozenInstanceError):
+                setattr(product, field.name, None)
+        for gone in ("annotate", "bands", "n_chunks", "chunk_rows"):
+            assert not hasattr(product, gone)
+
+    @pytest.mark.parametrize("name", ["FoldedReport", "StreamedReport"])
+    def test_memo_hands_out_the_stored_object(self, trace, cache, name):
+        key = key_for(cache, trace)
+        cache.put(key, PRODUCTS[name](trace))
+        assert cache.get(key) is cache.get(key)
 
 
 class TestCacheCli:

@@ -86,14 +86,6 @@ class TestFoldPlan:
                 counters.curves[name].cumulative, full.curves[name].cumulative
             )
 
-    def test_annotation_does_not_leak_between_folds(self, trace):
-        plan = FoldPlan.from_trace(trace)
-        first = plan.fold()
-        first.addresses.annotate("halo", 0, 4096)
-        assert plan.addresses.bands == []
-        assert fold_trace(trace).addresses.bands == []
-        assert plan.fold().addresses.bands == []
-
     def test_prune_tolerance_none(self, trace):
         plan = FoldPlan.from_trace(trace, prune_tolerance=None)
         assert_reports_identical(

@@ -7,6 +7,8 @@ resident :func:`repro.folding.report.fold_trace` — the chunk boundary
 is an implementation detail that must never leak into the numbers.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,40 @@ class TestCacheSharing:
         again = stream_fold_trace(trace, cache=cache)
         assert_stream_matches_resident(again, report)
 
+    def test_summary_is_the_same_from_every_source(self, trace, tmp_path):
+        """A streamed fold is a value of (trace, spec): the summary of
+        a hit does not describe the run that stored the entry."""
+        cold = stream_fold_trace(trace, chunk_rows=4000)
+        stream_fold_trace(
+            trace, chunk_rows=500, cache=FoldCache(directory=tmp_path / "s")
+        )
+        stored = stream_fold_trace(
+            trace, chunk_rows=4000, cache=FoldCache(directory=tmp_path / "s")
+        )
+        resident = FoldCache(directory=tmp_path / "r")
+        fold_trace(trace, cache=resident)
+        adapted = stream_fold_trace(trace, chunk_rows=4000, cache=resident)
+        assert cold.summary() == stored.summary() == adapted.summary()
+
+    def test_cached_fold_of_deflated_container_stays_o_chunk(self, tmp_path):
+        """Keying the cache hashes a deflated container chunk by chunk,
+        so a cached streamed fold peaks near the uncached one."""
+        path = tmp_path / "deflated.bsctrace"
+        stream_trace(n=1 << 17, period=32).save(path, compression="deflate")
+        stream_fold_trace(path, chunk_rows=4096)  # first-call allocations
+
+        def peak(**kwargs) -> int:
+            tracemalloc.start()
+            try:
+                stream_fold_trace(path, chunk_rows=4096, **kwargs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        uncached = peak()
+        cached = peak(cache=FoldCache(directory=tmp_path / "cache"))
+        assert cached <= 1.2 * uncached
+
 
 def synthetic_trace(drift: float) -> Trace:
     """Two-iteration trace whose ``flops`` counter drifts by *drift*.
@@ -273,7 +309,7 @@ class TestLiveFold:
         acc = StreamingFold(prologue)
         for chunk in trace.iter_sample_chunks(NAMES, chunk_rows):
             acc.add_chunk(chunk)
-        return acc.result(chunk_rows=chunk_rows)
+        return acc.result()
 
     @pytest.mark.parametrize("chunk_rows", [64, 640])
     def test_matches_streaming_fold(self, trace, chunk_rows):

@@ -381,13 +381,6 @@ class TestCacheKindSeparation:
         assert isinstance(again, StreamedReport)
         assert again.digest() == first.digest()
 
-    def test_annotations_do_not_bleed_into_cache(self, trace, tmp_path):
-        cache = FoldCache(directory=tmp_path)
-        first = stream_fold_trace(trace, directions=DIRECTIONS, cache=cache)
-        first.addresses.annotate("scratch", 0, 1)
-        fresh = stream_fold_trace(trace, directions=DIRECTIONS, cache=cache)
-        assert fresh.addresses.bands == []
-
 
 class TestAsciiRendering:
     def test_streamed_panel_equals_resident(self, streamed, resident):

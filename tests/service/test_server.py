@@ -235,6 +235,21 @@ class TestFoldEndpoint:
             c.fold(entry.digest, "counters", grid=171, revalidate=False)
             assert server.counters["response_cache_hits"] == before + 1
 
+    def test_spellings_of_one_fold_share_its_etag(self, served):
+        """The ETag names the fold as the fold cache does: a streamed
+        spelling, a seed without reps and a points bound the counters
+        payload ignores all name the same body."""
+        server, entry = served
+        fold = f"/v1/traces/{entry.digest}/fold?direction=counters&grid=181"
+        with ServiceClient("127.0.0.1", server.port) as c:
+            status, headers, body = c.get(fold)
+            assert status == 200
+            for spelling in ("&stream=1", "&seed=3", "&points=5"):
+                hits = server.counters["response_cache_hits"]
+                again = c.get(fold + spelling)
+                assert again == (200, headers, body)
+                assert server.counters["response_cache_hits"] == hits + 1
+
     def test_concurrent_identical_folds_coalesce(self, served):
         server, entry = served
         before_cold = server.counters["folds_cold"]

@@ -428,64 +428,13 @@ class TestRepoCli:
 
 
 class TestServeCli:
-    def test_serve_answers_and_honours_max_requests(
-        self, trace_file, tmp_path, capsys
-    ):
-        import socket
-        import threading
-        import time
-
-        from repro.cli import main_repo, main_serve
-        from repro.service import ServiceClient
-
-        root = str(tmp_path / "repo")
-        assert main_repo(["--root", root, "put", str(trace_file)]) == 0
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-        sock.close()
-
-        result = {}
-        thread = threading.Thread(
-            target=lambda: result.setdefault(
-                "rc",
-                main_serve(
-                    ["--root", root, "--port", str(port), "--workers", "1",
-                     "--max-requests", "3"]
-                ),
-            ),
-            daemon=True,
-        )
-        thread.start()
-
-        health = listing = None
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            try:
-                with ServiceClient("127.0.0.1", port, timeout=10) as c:
-                    health = c.healthz()
-                    listing = c.traces()
-                    try:
-                        # request 3 trips --max-requests; its response
-                        # may be cut off by the shutdown
-                        c.healthz()
-                    except Exception:
-                        pass
-                break
-            except OSError:
-                time.sleep(0.05)
-        assert health == {"ok": True}
-        assert listing["n_traces"] == 1
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert result.get("rc") == 0
-
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"),
         reason="reads fold worker pids from /proc/<pid>/task/*/children",
     )
     def test_sigterm_stops_server_and_fold_worker(self, trace_file, tmp_path):
-        """SIGTERM takes the SIGINT path: exit 0, no orphaned worker."""
+        """The served repository answers; SIGTERM takes the SIGINT path:
+        exit 0, no orphaned worker."""
         import os
         import select
         import signal
@@ -514,7 +463,10 @@ class TestServeCli:
             assert "http://" in line, line
             port = int(line.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
             with ServiceClient("127.0.0.1", port, timeout=60) as client:
-                digest = client.traces()["traces"][0]["digest"]
+                assert client.healthz() == {"ok": True}
+                listing = client.traces()
+                assert listing["n_traces"] == 1
+                digest = listing["traces"][0]["digest"]
                 assert client.fold(digest, "counters")["direction"] == "counters"
                 assert client.stats()["counters"]["folds_cold"] == 1
             for task in Path(f"/proc/{proc.pid}/task").iterdir():

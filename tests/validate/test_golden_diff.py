@@ -14,7 +14,7 @@ from repro.validate import (
     validate_trace,
     write_goldens,
 )
-from repro.validate.golden import GOLDEN_SAMPLERS, golden_key, golden_path
+from repro.validate.golden import GOLDEN_SAMPLERS, golden_key, golden_path, main
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -130,3 +130,25 @@ class TestGoldenFixtures:
         diffs = check_goldens(tmp_path, ("analytic",), ("pebs", "spe"))
         assert diffs["analytic"].identical
         assert diffs["analytic+spe"].identical
+
+
+class TestGoldenCheckCli:
+    """``python -m repro.validate.golden --check``: exit 0 and ``ok``
+    per fixture without drift, exit 1 and ``DRIFT`` with the diverging
+    cell otherwise."""
+
+    ARGS = ["--engines", "analytic", "--samplers", "pebs"]
+
+    def test_committed_fixture_checks_ok(self, capsys):
+        assert main(["--check", str(GOLDEN_DIR), *self.ARGS]) == 0
+        assert capsys.readouterr().out == "analytic: ok\n"
+
+    def test_perturbed_fixture_reports_drift(self, tmp_path, capsys):
+        committed = Trace.load(golden_path(GOLDEN_DIR, "analytic"))
+        inject_perturbation(committed, "address", 3, 8).save(
+            golden_path(tmp_path, "analytic")
+        )
+        assert main(["--check", str(tmp_path), *self.ARGS]) == 1
+        out = capsys.readouterr().out
+        assert "analytic: DRIFT" in out
+        assert "samples.address row 3" in out
