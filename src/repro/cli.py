@@ -613,7 +613,8 @@ def main_repo(argv: list[str] | None = None) -> int:
     p_path.add_argument("digest")
     p_rm = sub.add_parser("rm", help="remove an entry")
     p_rm.add_argument("digest")
-    sub.add_parser("reindex", help="rebuild index.json from disk")
+    sub.add_parser("fsck", help="check every stored container against its "
+                   "digest and sweep stale staging files (exit 1 on a bad entry)")
     args = p.parse_args(argv)
 
     import json as _json
@@ -654,9 +655,11 @@ def main_repo(argv: list[str] | None = None) -> int:
             print(repo.get(args.digest))
         elif args.action == "rm":
             print(f"removed {repo.remove(args.digest)}")
-        elif args.action == "reindex":
-            index = repo.reindex()
-            print(f"indexed {index['n_traces']} trace(s) in {repo.root}")
+        elif args.action == "fsck":
+            problems = repo.fsck()
+            for digest, problem in problems.items():
+                print(f"{digest}  {problem}")
+            return 1 if problems else 0
     except RepoError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1

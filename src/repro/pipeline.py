@@ -151,7 +151,7 @@ def run_workload(
     return trace
 
 
-def publish_trace(trace, repo_root=None, *, extra_meta: dict | None = None):
+def publish_trace(trace, repo_root=None):
     """Store a finished trace in the content-addressed repository.
 
     The pipeline-level face of :meth:`repro.repo.TraceRepo.put`:
@@ -163,7 +163,7 @@ def publish_trace(trace, repo_root=None, *, extra_meta: dict | None = None):
     """
     from repro.repo import TraceRepo
 
-    return TraceRepo(repo_root).put(trace, extra_meta=extra_meta)
+    return TraceRepo(repo_root).put(trace)
 
 
 def analyze_hpcg(

@@ -13,20 +13,23 @@ invocations — can resolve, share and deduplicate traces by what they
       <root>/objects/ab/cdef.../trace.bsctrace   # the v2 container
       <root>/objects/ab/cdef.../meta.json        # run metadata
 
+  The object directories are the only index: a listing scans them,
+  and a digest prefix resolves against the entry names of its shard.
+  A digest from outside must be 4–64 hex characters before it names
+  a path.
+
 * **atomic publish** — both files are staged in the entry directory
   and published with one ``os.replace`` each, container first.  A
   reader can never observe a partial container: until the rename the
   entry does not exist, after it the bytes are complete.  Concurrent
   ``put`` of the same digest is idempotent (the bytes are identical by
-  construction — the digest says so) and last-writer-safe.
+  construction — the digest says so) and last-writer-safe.  A ``put``
+  or ``remove`` writes only its own entry directory.
 
-* **run index** — ``<root>/index.json`` summarizes every entry
-  (workload, engine, sampler, seed, ranks, samples, duration) so
-  listing a large repository costs one JSON read instead of a
-  directory walk.  The index is a rebuildable cache of the per-entry
-  ``meta.json`` files — :meth:`TraceRepo.reindex` rescans and rewrites
-  it atomically, and :meth:`TraceRepo.list` falls back to the scan
-  when asked for authority.
+* **fsck** — :meth:`TraceRepo.fsck` checks that every container loads
+  and hashes to its entry's name.  It also sweeps the staging files
+  of writers killed mid-publish from the root and every entry
+  directory; a ``put`` sweeps the directory it publishes into.
 
 Traces are stored as v2 ``compression="none"`` containers whatever the
 input was, so everything the repository serves loads as zero-copy
@@ -37,9 +40,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import time
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,13 +55,16 @@ _ENV_ROOT = "REPRO_TRACE_REPO"
 _OBJECTS = "objects"
 _CONTAINER = "trace.bsctrace"
 _META = "meta.json"
-_INDEX = "index.json"
 
-#: Schema version of ``meta.json``/``index.json`` payloads.
+#: Schema version of the ``meta.json`` payload.
 REPO_META_VERSION = 1
 
 #: Minimum abbreviated-digest length accepted by :meth:`TraceRepo.resolve`.
 MIN_PREFIX = 4
+
+#: A digest or digest prefix, lowercased: the only strings
+#: :meth:`TraceRepo.resolve` turns into a path.
+_DIGEST_PREFIX = re.compile(f"[0-9a-f]{{{MIN_PREFIX},64}}")
 
 
 def default_repo_root() -> Path:
@@ -127,7 +133,7 @@ class TraceRepo:
         return self.entry_dir(digest) / _CONTAINER
 
     # -- publish -------------------------------------------------------------
-    def put(self, source: Trace | str | Path, *, extra_meta: dict | None = None) -> RepoEntry:
+    def put(self, source: Trace | str | Path) -> RepoEntry:
         """Store a trace (object or container path); returns its entry.
 
         The container is written to a staging file inside the entry
@@ -136,7 +142,9 @@ class TraceRepo:
         digest skips the container copy (the bytes are identical by
         content addressing) and refreshes the metadata — safe under
         concurrent writers, invisible to concurrent readers until
-        complete.
+        complete.  Nothing outside the entry directory is written; in
+        it, staging files a killed earlier ``put`` left are swept once
+        stale.
         """
         if isinstance(source, (str, Path)):
             trace = Trace.load(source)
@@ -145,17 +153,16 @@ class TraceRepo:
         digest = trace.digest()
         entry_dir = self.entry_dir(digest)
         entry_dir.mkdir(parents=True, exist_ok=True)
+        sweep_staging(entry_dir)
         container = entry_dir / _CONTAINER
         if not container.exists():
             with staged(container) as staging:
                 trace.save(staging, version=2, compression="none")
         meta = self._build_meta(trace, digest)
-        if extra_meta:
-            meta.update(extra_meta)
-        _atomic_json(entry_dir / _META, meta)
+        with staged(entry_dir / _META) as staging:
+            staging.write_text(json.dumps(meta, indent=2, sort_keys=True))
         if isinstance(source, (str, Path)):
             trace.close()
-        self.reindex()
         return RepoEntry(digest=digest, path=container, meta=meta)
 
     @staticmethod
@@ -179,19 +186,35 @@ class TraceRepo:
 
     # -- resolve / read ------------------------------------------------------
     def resolve(self, prefix: str) -> str:
-        """Expand a digest prefix (≥ 4 hex chars) to the full digest.
+        """Expand a digest prefix (4–64 hex chars, any case) to the full
+        digest of a stored container.
 
-        Raises :class:`RepoError` when the prefix is unknown or
-        ambiguous.
+        The prefix is checked before it becomes a path, and only the
+        entry names of its shard are matched, so no input reaches
+        outside the object directories.  Raises :class:`RepoError` when
+        the prefix is malformed, unknown or ambiguous.
         """
         prefix = prefix.lower()
-        if len(prefix) == 64 and self.path(prefix).exists():
-            return prefix
         if len(prefix) < MIN_PREFIX:
             raise RepoError(
                 f"digest prefix {prefix!r} too short (need >= {MIN_PREFIX} chars)"
             )
-        matches = [e.digest for e in self.list() if e.digest.startswith(prefix)]
+        if not _DIGEST_PREFIX.fullmatch(prefix):
+            raise RepoError(
+                f"digest prefix {prefix!r} is not {MIN_PREFIX}-64 hex characters"
+            )
+        if len(prefix) == 64 and self.path(prefix).exists():
+            return prefix  # the service's case: one stat, no listing
+        shard = self._objects_dir() / prefix[:2]
+        try:
+            names = os.listdir(shard)
+        except (FileNotFoundError, NotADirectoryError):
+            names = []
+        matches = [
+            shard.name + name
+            for name in names
+            if name.startswith(prefix[2:]) and (shard / name / _CONTAINER).exists()
+        ]
         if not matches:
             raise RepoError(f"no trace with digest prefix {prefix!r}")
         if len(matches) > 1:
@@ -202,11 +225,7 @@ class TraceRepo:
 
     def get(self, digest: str) -> Path:
         """The container path of a digest (prefixes allowed)."""
-        full = self.resolve(digest)
-        path = self.path(full)
-        if not path.exists():
-            raise RepoError(f"no trace {full} in {self.root}")
-        return path
+        return self.path(self.resolve(digest))
 
     def open(self, digest: str) -> Trace:
         """Lazily load a stored trace (columns stay on disk until touched)."""
@@ -215,45 +234,30 @@ class TraceRepo:
     def entry(self, digest: str) -> RepoEntry:
         full = self.resolve(digest)
         path = self.path(full)
-        if not path.exists():
-            raise RepoError(f"no trace {full} in {self.root}")
         return RepoEntry(digest=full, path=path, meta=self._read_meta(full, path))
 
     def _read_meta(self, digest: str, container: Path) -> dict:
-        meta_path = container.parent / _META
         try:
-            return json.loads(meta_path.read_text())
+            return json.loads((container.parent / _META).read_text())
         except (OSError, ValueError):
-            # The writer died between the two publishes (container
-            # first, meta second), or meta.json is mid-replace.
-            # Synthesize the cheap parts from the sidecar.
+            # put publishes the container first: until meta.json
+            # follows (or if its writer died), the container describes
+            # itself.  One that does not load (fsck names it) lists by
+            # its digest alone.
             try:
-                with zipfile.ZipFile(container) as zf:
-                    sidecar = json.loads(zf.read("trace.json"))
-            except Exception:
+                with Trace.load(container) as trace:
+                    return self._build_meta(trace, digest)
+            except Exception:  # noqa: BLE001 - one bad entry, not the listing
                 return {"digest": digest}
-            manifest = sidecar.get("columns", {})
-            return {
-                "digest": digest,
-                "workload": sidecar.get("metadata", {}).get("workload"),
-                "engine": sidecar.get("metadata", {}).get("engine"),
-                "sampler": sidecar.get("metadata", {}).get("sampler", "pebs"),
-                "seed": sidecar.get("metadata", {}).get("seed"),
-                "n_samples": next(
-                    (int(s["n"]) for s in manifest.values()), None
-                ),
-                "n_events": len(sidecar.get("events", [])),
-                "n_objects": len(sidecar.get("objects", [])),
-            }
 
     # -- enumerate -----------------------------------------------------------
     def list(self) -> list[RepoEntry]:
-        """Every entry, by directory scan (authoritative), digest-sorted.
+        """Every entry, by directory scan, digest-sorted.
 
         An entry exists iff its container file does — a concurrent
         ``put`` that has staged but not yet renamed is invisible, and
         one that renamed the container but not yet ``meta.json`` shows
-        up with sidecar-synthesized metadata.
+        up with metadata built from the container.
         """
         entries = []
         for digest, entry_dir in self._entry_dirs():
@@ -271,49 +275,32 @@ class TraceRepo:
     def _entry_dirs(self):
         """``(digest, directory)`` of every entry directory, digest-sorted,
         including directories whose container was never published."""
-        objects = self._objects_dir()
-        if not objects.is_dir():
-            return
-        for shard in sorted(objects.iterdir()):
-            if shard.is_dir() and len(shard.name) == 2:
-                for rest in sorted(shard.iterdir()):
-                    yield shard.name + rest.name, rest
-
-    def index(self) -> dict:
-        """The run index (``index.json``), rebuilt if missing."""
-        index_path = self.root / _INDEX
         try:
-            return json.loads(index_path.read_text())
-        except (OSError, ValueError):
-            return self.reindex()
+            shards = sorted(self._objects_dir().iterdir())
+        except (FileNotFoundError, NotADirectoryError):
+            return
+        for shard in shards:
+            if len(shard.name) != 2:
+                continue
+            try:
+                rests = sorted(shard.iterdir())
+            except (FileNotFoundError, NotADirectoryError):
+                continue  # a stray file, or emptied by a concurrent remove
+            for rest in rests:
+                yield shard.name + rest.name, rest
 
-    def reindex(self) -> dict:
-        """Rescan the object directories and rewrite ``index.json``.
-
-        The rewrite is atomic (temp + rename); concurrent reindexes
-        are last-writer-wins over full-scan snapshots, so the index
-        converges to the true directory state.  Staging files that
-        writers killed mid-publish left in the root or in an entry
-        directory are swept once they are
-        :data:`~repro.util.staging.STALE_AFTER_S` old — including the
-        lone container staging file of a first ``put`` that never
-        published, which no listing shows.
-        """
-        entries = self.list()
-        index = {
-            "version": REPO_META_VERSION,
-            "n_traces": len(entries),
-            "traces": {e.digest: e.meta for e in entries},
-        }
-        if self.root.is_dir() or entries:
-            self.root.mkdir(parents=True, exist_ok=True)
-            _atomic_json(self.root / _INDEX, index)
-        sweep_staging(self.root)
+    def stats(self) -> dict:
+        """Entry count and container bytes, from the object directories."""
+        n_traces = total = 0
         for _digest, entry_dir in self._entry_dirs():
-            sweep_staging(entry_dir)
-        return index
+            try:
+                total += (entry_dir / _CONTAINER).stat().st_size
+            except OSError:
+                continue  # unpublished, or removed mid-scan
+            n_traces += 1
+        return {"root": str(self.root), "n_traces": n_traces, "total_bytes": total}
 
-    # -- remove --------------------------------------------------------------
+    # -- maintain ------------------------------------------------------------
     def remove(self, digest: str) -> str:
         """Delete an entry (prefixes allowed); returns the full digest."""
         full = self.resolve(digest)
@@ -326,25 +313,33 @@ class TraceRepo:
             shard.rmdir()  # drop the shard dir when it empties
         except OSError:
             pass
-        self.reindex()
         return full
 
-    def stats(self) -> dict:
-        entries = self.list()
-        total = 0
-        for e in entries:
+    def fsck(self) -> dict[str, str]:
+        """Check every stored container; sweep stale staging files.
+
+        Returns ``{digest: problem}`` for each entry whose container
+        does not load, or whose :meth:`~repro.extrae.trace.Trace.digest`
+        is not the entry's name; empty means the repository is sound.
+        Staging files :data:`~repro.util.staging.STALE_AFTER_S` old are
+        swept from the root and every entry directory, including the
+        lone one a killed first ``put`` left, which no listing shows.
+        Nothing else is removed or repaired: a directory without a
+        container may be a ``put`` in progress, and an entry removed
+        mid-check is skipped.
+        """
+        sweep_staging(self.root)
+        problems = {}
+        for digest, entry_dir in self._entry_dirs():
+            sweep_staging(entry_dir)
             try:
-                total += e.path.stat().st_size
-            except OSError:
+                with Trace.load(entry_dir / _CONTAINER) as trace:
+                    stored = trace.digest()
+            except FileNotFoundError:
+                continue  # not published yet, or removed mid-check
+            except Exception as exc:  # noqa: BLE001 - report, check the rest
+                problems[digest] = f"unreadable container ({type(exc).__name__}: {exc})"
                 continue
-        return {
-            "root": str(self.root),
-            "n_traces": len(entries),
-            "total_bytes": total,
-        }
-
-
-def _atomic_json(path: Path, payload: dict) -> None:
-    """Publish *payload* at *path* (staged, then one atomic rename)."""
-    with staged(path) as staging:
-        staging.write_text(json.dumps(payload, indent=2, sort_keys=True))
+            if stored != digest:
+                problems[digest] = f"content digest is {stored}"
+        return problems

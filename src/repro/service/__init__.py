@@ -7,7 +7,7 @@ Modules
 :mod:`repro.service.client`
     Blocking client with ETag revalidation.
 :mod:`repro.service.tables`
-    Refcounted LRU of shared-mmap open traces.
+    LRU of shared-mmap open traces.
 :mod:`repro.service.work`
     Picklable cold-fold job for the worker pool.
 :mod:`repro.service.payloads`

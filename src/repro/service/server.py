@@ -5,9 +5,9 @@ listings, index-backed trace queries and folded reports as canonical
 JSON payloads (:mod:`repro.service.payloads`).  The interesting part
 is how it stays fast under many concurrent clients:
 
-* **Shared memory maps** — every open trace is held once in a
-  refcounted LRU (:class:`~repro.service.tables.SharedTraceCache`);
-  all in-flight requests against a digest read the same ``mmap``.
+* **Shared memory maps** — every open trace is held once in an LRU
+  (:class:`~repro.service.tables.SharedTraceCache`); all requests
+  against a digest read the same ``mmap``.
 * **Bounded fold workers** — fold bodies are never built on the event
   loop: every response-cache miss goes to a ``ProcessPoolExecutor`` of
   ``workers`` processes (:func:`~repro.service.work.fold_payload_job`,
@@ -36,9 +36,11 @@ Routes (all ``GET``)::
     /v1/traces/{digest}/fold?direction=counters|address|lines
         [&grid=N][&bandwidth=F][&reps=N][&seed=N][&stream=1][&points=N]
 
-``{digest}`` accepts any unambiguous prefix (>= 4 hex chars).  The
-fold query keys map onto one :class:`~repro.folding.spec.FoldSpec`;
-a parameter the spec rejects is a 400.
+``{digest}`` accepts any unambiguous prefix (4-64 hex chars); anything
+else is a 404 before it names a path.  The fold query keys map onto
+one :class:`~repro.folding.spec.FoldSpec`; a parameter the spec
+rejects is a 400.  A request head that is malformed or longer than
+the stream limit (64 KiB) is a 400, and the connection closes.
 """
 
 from __future__ import annotations
@@ -228,18 +230,17 @@ class AnalysisServer:
             while True:
                 try:
                     head = await reader.readuntil(b"\r\n\r\n")
-                except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+                except asyncio.IncompleteReadError:
+                    return
+                except asyncio.LimitOverrunError:
+                    await self._bad_request(writer, "request head too large")
                     return
                 request_line, *header_lines = head.decode(
                     "latin-1"
                 ).split("\r\n")
                 parts = request_line.split()
                 if len(parts) != 3:
-                    self.counters["errors"] += 1
-                    body = canonical_bytes(
-                        {"error": "malformed request line", "status": 400}
-                    )
-                    await self._write_response(writer, 400, body, {}, False)
+                    await self._bad_request(writer, "malformed request line")
                     return
                 method, target, _version = parts
                 headers = {}
@@ -268,6 +269,13 @@ class AnalysisServer:
                 OSError,
             ):
                 pass
+
+    async def _bad_request(self, writer: asyncio.StreamWriter, error: str) -> None:
+        """Answer 400 to a request that cannot be framed; the caller
+        then closes the connection."""
+        self.counters["errors"] += 1
+        body = canonical_bytes({"error": error, "status": 400})
+        await self._write_response(writer, 400, body, {}, False)
 
     @staticmethod
     async def _write_response(
@@ -425,73 +433,72 @@ class AnalysisServer:
             t1 = float(query["t1"])
         except (KeyError, ValueError) as exc:
             raise HttpError(400, "window needs numeric t0 and t1") from exc
-        with self.tables.lease(digest, self.repo.path(digest)) as lease:
-            # Column *views* over the shared map — the O(n)-copy
-            # SampleIndex.window() would materialize the whole slice
-            # on the event loop for every request.
-            sl = lease.index.samples.time_slice(t0, t1)
-            n = int(sl.stop - sl.start)
-            table = lease.trace.sample_table()
-            op = table.column("op")[sl]
-            latency = table.column("latency")[sl]
-            payload = seal(
-                {
-                    "version": PAYLOAD_VERSION,
-                    "digest": digest,
-                    "t0_ns": t0,
-                    "t1_ns": t1,
-                    "n_samples": n,
-                    "n_loads": int((op == 0).sum()) if n else 0,
-                    "n_stores": int((op == 1).sum()) if n else 0,
-                    "mean_latency": float(latency.mean()) if n else 0.0,
-                    "max_latency": float(latency.max()) if n else 0.0,
-                }
-            )
+        trace, index = self.tables.get(digest, self.repo.path(digest))
+        # Column *views* over the shared map — the O(n)-copy
+        # SampleIndex.window() would materialize the whole slice
+        # on the event loop for every request.
+        sl = index.samples.time_slice(t0, t1)
+        n = int(sl.stop - sl.start)
+        table = trace.sample_table()
+        op = table.column("op")[sl]
+        latency = table.column("latency")[sl]
+        payload = seal(
+            {
+                "version": PAYLOAD_VERSION,
+                "digest": digest,
+                "t0_ns": t0,
+                "t1_ns": t1,
+                "n_samples": n,
+                "n_loads": int((op == 0).sum()) if n else 0,
+                "n_stores": int((op == 1).sum()) if n else 0,
+                "mean_latency": float(latency.mean()) if n else 0.0,
+                "max_latency": float(latency.max()) if n else 0.0,
+            }
+        )
         return 200, canonical_bytes(payload), {}
 
     def _regions(self, digest: str) -> tuple[int, bytes, dict]:
-        with self.tables.lease(digest, self.repo.path(digest)) as lease:
-            ev = lease.index.events
-            payload = seal(
-                {
-                    "version": PAYLOAD_VERSION,
-                    "digest": digest,
-                    "regions": [
-                        {
-                            "name": name,
-                            "n_intervals": len(ev.region_intervals(name)),
-                        }
-                        for name in ev.region_names
-                    ],
-                    "n_iterations": len(ev.iteration_times()),
-                }
-            )
+        _trace, index = self.tables.get(digest, self.repo.path(digest))
+        ev = index.events
+        payload = seal(
+            {
+                "version": PAYLOAD_VERSION,
+                "digest": digest,
+                "regions": [
+                    {
+                        "name": name,
+                        "n_intervals": len(ev.region_intervals(name)),
+                    }
+                    for name in ev.region_names
+                ],
+                "n_iterations": len(ev.iteration_times()),
+            }
+        )
         return 200, canonical_bytes(payload), {}
 
     def _region_detail(self, digest: str, name: str) -> tuple[int, bytes, dict]:
-        with self.tables.lease(digest, self.repo.path(digest)) as lease:
-            ev = lease.index.events
-            if name not in ev.region_names:
-                raise HttpError(404, f"no region {name!r} in trace {digest[:12]}")
-            samples = lease.index.samples
-            intervals = []
-            for start, end in ev.region_intervals(name):
-                sl = samples.time_slice(start, end)
-                intervals.append(
-                    {
-                        "t0_ns": float(start),
-                        "t1_ns": float(end),
-                        "n_samples": int(sl.stop - sl.start),
-                    }
-                )
-            payload = seal(
+        _trace, index = self.tables.get(digest, self.repo.path(digest))
+        ev = index.events
+        if name not in ev.region_names:
+            raise HttpError(404, f"no region {name!r} in trace {digest[:12]}")
+        intervals = []
+        for start, end in ev.region_intervals(name):
+            sl = index.samples.time_slice(start, end)
+            intervals.append(
                 {
-                    "version": PAYLOAD_VERSION,
-                    "digest": digest,
-                    "region": name,
-                    "intervals": intervals,
+                    "t0_ns": float(start),
+                    "t1_ns": float(end),
+                    "n_samples": int(sl.stop - sl.start),
                 }
             )
+        payload = seal(
+            {
+                "version": PAYLOAD_VERSION,
+                "digest": digest,
+                "region": name,
+                "intervals": intervals,
+            }
+        )
         return 200, canonical_bytes(payload), {}
 
     # -- folds (workers + caches + coalescing) -------------------------------

@@ -1,71 +1,28 @@
-"""Shared, refcounted, LRU-bounded open-trace cache for the service.
+"""LRU of open traces for the service's window and region queries.
 
-The perf core of the serving path: each trace digest is backed by **one**
-read-only shared memory map (the single ``mmap`` held by
-:class:`~repro.extrae.storage.ColumnReader`), multiplexed across every
-in-flight request that touches that trace.  Entries carry a
-:class:`~repro.extrae.index.TraceIndex` so time-window and per-region
+Each trace digest is backed by **one** read-only memory map (the single
+``mmap`` held by :class:`~repro.extrae.storage.ColumnReader`), shared by
+every request that touches that trace.  An open trace comes with its
+:class:`~repro.extrae.index.TraceIndex`, so time-window and per-region
 queries answer from prebuilt indexes instead of rescanning.
 
-Lifecycle rules:
-
-* :meth:`SharedTraceCache.lease` hands out a context manager that pins
-  the entry (refcount +1) for the duration of the request.
-* Eviction (capacity overflow, or :meth:`invalidate`) only *closes*
-  the underlying reader once the refcount drains to zero — an evicted
-  entry that is still leased stays fully readable and is closed by the
-  last lease to exit.
-* The server event loop is the only caller, so the bookkeeping is
-  plain attribute updates — no locks; the OS page cache does the
-  actual cross-request sharing.
+The server event loop is the only caller, and each handler uses the
+trace it gets synchronously, with no ``await`` before its last read.
+So no other request holds a trace while one is opened or evicted, and
+eviction closes the trace it drops at once: no locks, leases or
+deferred closes.  The OS page cache does the actual cross-request
+sharing.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.extrae.index import TraceIndex
 from repro.extrae.trace import Trace
 
-__all__ = ["SharedTraceCache", "TraceLease"]
-
-
-@dataclass
-class _OpenTrace:
-    digest: str
-    trace: Trace
-    index: TraceIndex
-    refcount: int = 0
-    evicted: bool = False
-    hits: int = 0
-
-
-@dataclass
-class TraceLease:
-    """A pinned handle on an open trace; use as a context manager."""
-
-    _cache: "SharedTraceCache"
-    _entry: _OpenTrace = field(repr=False)
-
-    @property
-    def digest(self) -> str:
-        return self._entry.digest
-
-    @property
-    def trace(self) -> Trace:
-        return self._entry.trace
-
-    @property
-    def index(self) -> TraceIndex:
-        return self._entry.index
-
-    def __enter__(self) -> "TraceLease":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._cache._release(self._entry)
+__all__ = ["SharedTraceCache"]
 
 
 class SharedTraceCache:
@@ -75,63 +32,41 @@ class SharedTraceCache:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._open: OrderedDict[str, _OpenTrace] = OrderedDict()
+        self._open: OrderedDict[str, tuple[Trace, TraceIndex]] = OrderedDict()
         self.opens = 0  # cold opens (cache misses)
-        self.hits = 0  # lease() calls served from an open entry
+        self.hits = 0  # get() calls served from an open trace
 
     def __len__(self) -> int:
         return len(self._open)
 
-    def lease(self, digest: str, path: str | Path) -> TraceLease:
-        """Pin (opening if needed) the trace at *path* under *digest*."""
+    def get(self, digest: str, path: str | Path) -> tuple[Trace, TraceIndex]:
+        """The open trace at *path* under *digest* and its index, opened
+        if needed.
+
+        Valid until the next call opens another trace, which may evict
+        and close it.
+        """
         entry = self._open.get(digest)
-        if entry is None:
-            trace = Trace.load(path)
-            entry = _OpenTrace(digest=digest, trace=trace, index=TraceIndex(trace))
-            self._open[digest] = entry
-            self.opens += 1
-            entry.refcount += 1
-            # pin before shrinking so the new entry can't evict itself
-            self._shrink()
-        else:
+        if entry is not None:
             self._open.move_to_end(digest)
             self.hits += 1
-            entry.hits += 1
-            entry.refcount += 1
-        return TraceLease(self, entry)
-
-    def _release(self, entry: _OpenTrace) -> None:
-        entry.refcount -= 1
-        if entry.refcount <= 0 and entry.evicted:
-            entry.trace.close()
-
-    def _shrink(self) -> None:
-        while len(self._open) > self.capacity:
-            # Oldest entry whose refcount is zero; leased entries are
-            # skipped (they close themselves on last release).
-            victim = next(
-                (d for d, e in self._open.items() if e.refcount == 0), None
-            )
-            if victim is None:
-                return  # everything is pinned; stay over capacity
-            entry = self._open.pop(victim)
-            entry.trace.close()
-
-    def invalidate(self, digest: str) -> bool:
-        """Drop *digest* from the cache (deferred close if leased)."""
-        entry = self._open.pop(digest, None)
-        if entry is None:
-            return False
-        if entry.refcount <= 0:
-            entry.trace.close()
-        else:
-            entry.evicted = True
-        return True
+            return entry
+        trace = Trace.load(path)
+        # Beside the trace, not trace.index(): a trace caching its own
+        # index is a reference cycle, so an evicted one would wait for
+        # the cyclic GC instead of being freed at once.
+        entry = self._open[digest] = (trace, TraceIndex(trace))
+        self.opens += 1
+        if len(self._open) > self.capacity:
+            _digest, (evicted, _index) = self._open.popitem(last=False)
+            evicted.close()
+        return entry
 
     def close(self) -> None:
-        """Close every unleased entry and mark the rest for close."""
-        for digest in list(self._open):
-            self.invalidate(digest)
+        """Close every open trace."""
+        for trace, _index in self._open.values():
+            trace.close()
+        self._open.clear()
 
     def stats(self) -> dict:
         return {
@@ -139,5 +74,4 @@ class SharedTraceCache:
             "n_open": len(self._open),
             "opens": self.opens,
             "hits": self.hits,
-            "pinned": sum(1 for e in self._open.values() if e.refcount > 0),
         }

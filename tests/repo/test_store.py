@@ -3,9 +3,11 @@
 import json
 import multiprocessing
 import os
+import shutil
 import threading
 import time
 import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,47 @@ def repo(tmp_path):
     return TraceRepo(tmp_path / "repo")
 
 
+def _variant(container, i):
+    """The stored trace under a digest of its own (its metadata differs)."""
+    trace = Trace.load(container)
+    trace.metadata["variant"] = i
+    return trace
+
+
+def _files(root):
+    """``{path: (inode, mtime_ns)}`` of every file under *root*."""
+    return {
+        p: (p.stat().st_ino, p.stat().st_mtime_ns)
+        for p in root.rglob("*")
+        if p.is_file()
+    }
+
+
+def _outside(files, entry_dir):
+    return {p: s for p, s in files.items() if entry_dir not in p.parents}
+
+
+def _truncate(path):
+    """Cut a stored container in half, in place."""
+    with open(path, "r+b") as f:
+        f.truncate(path.stat().st_size // 2)
+
+
+@pytest.fixture()
+def meta_reads(monkeypatch):
+    """The ``meta.json`` paths opened while the test runs."""
+    reads = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        if self.name == "meta.json":
+            reads.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    return reads
+
+
 class TestAddressing:
     def test_put_object_roundtrips(self, repo, traced):
         entry = repo.put(traced)
@@ -53,7 +96,7 @@ class TestAddressing:
     def test_put_is_idempotent(self, repo, container):
         first = repo.put(container)
         stat_before = first.path.stat()
-        second = repo.put(container, extra_meta={"note": "again"})
+        second = repo.put(container)
         assert second.digest == first.digest
         stat_after = second.path.stat()
         # the container bytes were not rewritten...
@@ -61,7 +104,8 @@ class TestAddressing:
             stat_before.st_ino, stat_before.st_mtime_ns
         )
         # ...but the metadata was refreshed
-        assert repo.entry(first.digest).meta["note"] == "again"
+        assert repo.entry(first.digest).meta == second.meta
+        assert second.meta == {**first.meta, "stored_at": second.meta["stored_at"]}
 
     def test_no_staging_leftovers(self, repo, traced):
         entry = repo.put(traced)
@@ -82,6 +126,29 @@ class TestAddressing:
             repo.resolve("ab")
         with pytest.raises(RepoError, match="no trace"):
             repo.resolve("0000beef")
+        with pytest.raises(RepoError, match="hex"):
+            repo.resolve("zzzz")
+        with pytest.raises(RepoError, match="hex"):
+            repo.resolve("a" * 65)
+
+    def test_resolve_ignores_case(self, repo, traced):
+        entry = repo.put(traced)
+        assert repo.resolve(entry.digest.upper()) == entry.digest
+        assert repo.resolve(entry.digest[:8].upper()) == entry.digest
+
+    def test_traversal_digest_reaches_nothing_outside(self, repo, traced, container):
+        entry = repo.put(traced)
+        outside = repo.root.parent / "outside"
+        outside.mkdir()
+        shutil.copy(container, outside / "trace.bsctrace")
+        # 64 characters through an existing shard, out of the root
+        evil = entry.digest[:2] + "../../../outside" + "/." * 23
+        assert len(evil) == 64
+        assert repo.path(evil).resolve() == (outside / "trace.bsctrace").resolve()
+        for call in (repo.resolve, repo.get, repo.entry, repo.open, repo.remove):
+            with pytest.raises(RepoError, match="hex"):
+                call(evil)
+        assert (outside / "trace.bsctrace").exists()
 
     def test_default_root_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TRACE_REPO", str(tmp_path / "custom"))
@@ -91,32 +158,30 @@ class TestAddressing:
 
 class TestIndexAndMeta:
     def test_list_and_index_agree(self, repo, traced):
+        """The object directories are the index: list() shows every
+        entry directory holding a container, with its meta.json."""
         entry = repo.put(traced)
+        repo.entry_dir("cd" * 32).mkdir(parents=True)  # not published
         entries = repo.list()
         assert [e.digest for e in entries] == [entry.digest]
-        index = repo.index()
-        assert index["n_traces"] == 1
-        assert index["traces"][entry.digest]["workload"] == entry.meta["workload"]
+        assert entries[0].meta == entry.meta
 
     def test_meta_synthesized_when_meta_json_missing(self, repo, traced):
         entry = repo.put(traced)
         (entry.path.parent / "meta.json").unlink()
         got = repo.entry(entry.digest)
-        # the writer "died" between publishes: sidecar fills the gap
+        # the writer "died" between publishes: the container fills the gap
         assert got.meta["n_samples"] == traced.n_samples
         assert got.meta["digest"] == entry.digest
-
-    def test_reindex_rebuilds_after_index_loss(self, repo, traced):
-        entry = repo.put(traced)
-        (repo.root / "index.json").unlink()
-        index = repo.index()
-        assert entry.digest in index["traces"]
+        # with every key a published meta.json holds, duration included
+        assert set(got.meta) == set(entry.meta)
+        del got.meta["stored_at"], entry.meta["stored_at"]
+        assert got.meta == entry.meta
 
     def test_remove(self, repo, traced):
         entry = repo.put(traced)
         assert repo.remove(entry.digest[:8]) == entry.digest
         assert repo.list() == []
-        assert repo.index()["n_traces"] == 0
         with pytest.raises(RepoError):
             repo.get(entry.digest)
 
@@ -125,6 +190,69 @@ class TestIndexAndMeta:
         stats = repo.stats()
         assert stats["n_traces"] == 1
         assert stats["total_bytes"] == entry.path.stat().st_size
+
+
+class TestEntriesStandAlone:
+    """A put or remove touches its own entry directory alone, and
+    resolve and stats read no meta.json."""
+
+    def test_put_reads_and_writes_only_its_own_entry(
+        self, repo, container, meta_reads
+    ):
+        for i in range(3):
+            repo.put(_variant(container, i))
+        before = _files(repo.root)
+        meta_reads.clear()
+        entry = repo.put(_variant(container, 3))
+        assert meta_reads == []
+        assert _outside(_files(repo.root), entry.path.parent) == before
+        assert not (repo.root / "index.json").exists()
+
+    def test_remove_writes_only_its_own_entry(self, repo, container):
+        entries = [repo.put(_variant(container, i)) for i in range(3)]
+        before = _files(repo.root)
+        repo.remove(entries[1].digest)
+        assert _files(repo.root) == _outside(before, entries[1].path.parent)
+        assert not (repo.root / "index.json").exists()
+
+    def test_resolve_and_stats_read_no_meta(self, repo, container, meta_reads):
+        entries = [repo.put(_variant(container, i)) for i in range(3)]
+        meta_reads.clear()
+        for entry in entries:
+            assert repo.resolve(entry.digest[:8]) == entry.digest
+        stats = repo.stats()
+        assert meta_reads == []
+        assert stats["n_traces"] == 3
+        assert stats["total_bytes"] == sum(e.path.stat().st_size for e in entries)
+
+
+class TestFsck:
+    def test_sound_repository_passes(self, repo, container):
+        for i in range(2):
+            repo.put(_variant(container, i))
+        assert repo.fsck() == {}
+
+    def test_names_unreadable_and_mismatched_entries(self, repo, container):
+        good, truncated, swapped = (repo.put(_variant(container, i)) for i in range(3))
+        _truncate(truncated.path)
+        shutil.copy(good.path, swapped.path)
+        problems = repo.fsck()
+        assert sorted(problems) == sorted([truncated.digest, swapped.digest])
+        assert problems[truncated.digest].startswith("unreadable container")
+        assert problems[swapped.digest] == f"content digest is {good.digest}"
+        # it repairs and removes nothing; the listing still answers
+        assert [e.digest for e in repo.list()] == sorted(
+            e.digest for e in (good, truncated, swapped)
+        )
+        (truncated.path.parent / "meta.json").unlink()
+        assert repo.entry(truncated.digest).meta == {"digest": truncated.digest}
+
+    def test_removes_no_directory(self, repo, traced):
+        repo.put(traced)
+        pending = repo.entry_dir("cd" * 32)  # a put that has not staged yet
+        pending.mkdir(parents=True)
+        assert repo.fsck() == {}
+        assert pending.is_dir()
 
 
 def _orphan(directory, name, age_s):
@@ -138,13 +266,13 @@ def _orphan(directory, name, age_s):
 
 
 class TestStagingSweep:
-    def test_reindex_sweeps_stale_orphans_spares_fresh(self, repo, traced):
+    def test_fsck_sweeps_stale_orphans_spares_fresh(self, repo, traced):
         entry = repo.put(traced)
         old_in_entry = _orphan(entry.path.parent, "old", STALE_AFTER_S + 60)
         old_in_root = _orphan(repo.root, "old", STALE_AFTER_S + 60)
         fresh_in_entry = _orphan(entry.path.parent, "fresh", 0)
         fresh_in_root = _orphan(repo.root, "fresh", 0)
-        repo.reindex()
+        assert repo.fsck() == {}
         assert not old_in_entry.exists()
         assert not old_in_root.exists()
         assert fresh_in_entry.exists()  # possibly a live writer, spared
@@ -154,9 +282,22 @@ class TestStagingSweep:
         # The killed writer left an entry directory holding only its
         # container's staging file: no listing shows it.
         lone = _orphan(repo.entry_dir("ab" * 32), "killed", STALE_AFTER_S + 60)
+        live = _orphan(repo.entry_dir("ab" * 32), "live", 0)
         assert repo.list() == []
-        repo.put(traced)  # any later publish reindexes
+        repo.put(traced)  # another entry's put leaves it alone
+        assert lone.exists()
+        assert repo.fsck() == {}
         assert not lone.exists()
+        assert live.exists()  # possibly a live writer, spared
+        assert lone.parent.is_dir()
+
+    def test_put_sweeps_its_own_entry(self, repo, traced):
+        entry_dir = repo.entry_dir(traced.digest())
+        killed = _orphan(entry_dir, "killed", STALE_AFTER_S + 60)
+        live = _orphan(entry_dir, "live", 0)
+        repo.put(traced)
+        assert not killed.exists()
+        assert live.exists()
 
 
 def _put_job(root, container):

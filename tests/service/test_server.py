@@ -9,11 +9,13 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
+from urllib.parse import quote
 
 import numpy as np
 import pytest
 
 import repro.service.server as server_module
+from repro.extrae.trace import Trace
 from repro.folding.report import fold_trace
 from repro.repo import TraceRepo
 from repro.service import AnalysisServer, ServiceClient, ServiceError
@@ -122,6 +124,38 @@ class TestBasicEndpoints:
                 reply += chunk
         assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
         assert client.healthz() == {"ok": True}
+
+    def test_oversized_request_head_is_400(self, served, client):
+        server, _entry = served
+        errors = server.counters["errors"]
+        head = b"GET /v1/healthz HTTP/1.1\r\nx-pad: " + b"a" * 70_000 + b"\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(head)
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after it
+                reply += chunk
+        status_line, body = reply.split(b"\r\n\r\n", 1)
+        assert status_line.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert json.loads(body) == {"error": "request head too large", "status": 400}
+        assert server.counters["errors"] == errors + 1
+        assert client.healthz() == {"ok": True}
+
+    def test_traversal_digest_is_404(self, served, client, traced):
+        """A 64-character "digest" that climbs out of the repository
+        through an existing shard names no trace."""
+        server, entry = served
+        outside = server.repo.root.parent / "outside"
+        outside.mkdir(exist_ok=True)
+        traced.save(outside / "trace.bsctrace", version=2, compression="none")
+        evil = quote(entry.digest[:2] + "../../../outside" + "/." * 23, safe="")
+        opens = server.tables.opens
+        fold_requests = server.counters["fold_requests"]
+        for tail in ("", "/window?t0=0&t1=1e15", "/regions", "/fold"):
+            status, _headers, body = client.get(f"/v1/traces/{evil}{tail}")
+            assert status == 404, tail
+            assert json.loads(body)["status"] == 404
+        assert server.tables.opens == opens
+        assert server.counters["fold_requests"] == fold_requests
 
     def test_payloads_are_digest_stamped(self, served, client):
         _server, entry = served
@@ -322,3 +356,43 @@ class TestWorkerDeath:
                 want = counters_payload(fold_trace(traced))
                 assert got["payload_digest"] == want["payload_digest"]
                 assert health.healthz() == {"ok": True}
+
+
+class TestCorruptContainer:
+    def test_truncated_container_answers_500_and_spares_the_rest(
+        self, served, client, traced, tmp_path, caplog
+    ):
+        _server, entry = served
+        t1 = traced.duration_ns() / 2
+        want = [
+            client.window(entry.digest, 0.0, t1),
+            client.regions(entry.digest),
+            client.fold(entry.digest, "counters"),
+        ]
+        repo = TraceRepo(tmp_path / "repo")
+        assert repo.put(traced).digest == entry.digest
+        with Trace.load(repo.path(entry.digest)) as variant:
+            variant.metadata["variant"] = 1
+            bad = repo.put(variant)
+        with open(bad.path, "r+b") as f:  # truncate in place
+            f.truncate(bad.path.stat().st_size // 2)
+        assert list(repo.fsck()) == [bad.digest]
+        internal_error = {"error": "internal error", "status": 500}
+
+        with serving(AnalysisServer(repo, workers=1)) as server:
+            with ServiceClient("127.0.0.1", server.port) as c:
+                with caplog.at_level(logging.ERROR, logger="repro.service"):
+                    for tail in ("window?t0=0&t1=1e15", "fold"):
+                        status, _h, body = c.get(f"/v1/traces/{bad.digest}/{tail}")
+                        assert status == 500, tail
+                        assert json.loads(body) == internal_error
+                assert c.healthz() == {"ok": True}
+                got = [
+                    c.window(entry.digest, 0.0, t1),
+                    c.regions(entry.digest),
+                    c.fold(entry.digest, "counters"),
+                ]
+                assert [p["payload_digest"] for p in got] == [
+                    p["payload_digest"] for p in want
+                ]
+                assert c.healthz() == {"ok": True}

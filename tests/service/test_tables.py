@@ -1,4 +1,4 @@
-"""SharedTraceCache: one mmap per digest, refcounted LRU eviction."""
+"""SharedTraceCache: one mmap per digest, LRU eviction closes at once."""
 
 import pytest
 
@@ -34,55 +34,38 @@ class TestLeases:
     def test_same_digest_shares_one_open_trace(self, containers):
         cache = SharedTraceCache(capacity=4)
         (digest, path), *_ = containers.items()
-        with cache.lease(digest, path) as a, cache.lease(digest, path) as b:
-            assert a.trace is b.trace
-            assert a.index is b.index
+        a_trace, a_index = cache.get(digest, path)
+        b_trace, b_index = cache.get(digest, path)
+        assert a_trace is b_trace
+        assert a_index is b_index
         assert cache.opens == 1
         assert cache.hits == 1
-        assert len(cache) == 1  # stays open (warm) after release
+        assert len(cache) == 1  # stays open (warm)
 
-    def test_lease_pins_against_eviction(self, containers):
-        cache = SharedTraceCache(capacity=1)
-        items = list(containers.items())
-        d0, p0 = items[0]
-        d1, p1 = items[1]
-        lease = cache.lease(d0, p0)
-        with cache.lease(d1, p1) as other:
-            # over capacity, but the pinned entry must not be closed
-            assert not _closed(lease.trace)
-            assert not _closed(other.trace)
-        lease.__exit__(None, None, None)
+    def test_lru_evicts_and_closes_the_least_recently_used(self, containers):
+        cache = SharedTraceCache(capacity=2)
+        (d0, p0), (d1, p1), (d2, p2) = containers.items()
+        first, _index = cache.get(d0, p0)
+        second, _index = cache.get(d1, p1)
+        assert cache.get(d0, p0)[0] is first  # d1 is now the oldest
+        cache.get(d2, p2)
+        assert _closed(second)
+        assert not _closed(first)
+        assert cache.stats() == {"capacity": 2, "n_open": 2, "opens": 3, "hits": 1}
+        reopened, _index = cache.get(d1, p1)  # evicted: a cold open again
+        assert reopened is not second
+        assert _closed(first)
+        assert cache.opens == 4
 
     def test_eviction_closes_unleased_traces(self, containers):
         cache = SharedTraceCache(capacity=1)
-        items = list(containers.items())
-        first = None
-        for digest, path in items:
-            with cache.lease(digest, path) as lease:
-                if first is None:
-                    first = lease.trace
+        opened = [cache.get(digest, path)[0] for digest, path in containers.items()]
         assert len(cache) == 1
-        assert _closed(first)
-
-    def test_invalidate_defers_close_to_last_lease(self, containers):
-        cache = SharedTraceCache(capacity=4)
-        (digest, path), *_ = containers.items()
-        lease = cache.lease(digest, path)
-        trace = lease.trace
-        assert cache.invalidate(digest)
-        # still leased: must stay readable
-        assert not _closed(trace)
-        lease.__exit__(None, None, None)
-        # last lease released: now it closes
-        assert _closed(trace)
-        assert not cache.invalidate(digest)
+        assert [_closed(t) for t in opened] == [True, True, False]
 
     def test_close_shuts_everything(self, containers):
         cache = SharedTraceCache(capacity=4)
-        opened = []
-        for digest, path in containers.items():
-            with cache.lease(digest, path) as lease:
-                opened.append(lease.trace)
+        opened = [cache.get(digest, path)[0] for digest, path in containers.items()]
         cache.close()
         assert len(cache) == 0
         assert all(_closed(t) for t in opened)
@@ -90,10 +73,8 @@ class TestLeases:
     def test_stats(self, containers):
         cache = SharedTraceCache(capacity=2)
         (digest, path), *_ = containers.items()
-        with cache.lease(digest, path):
-            stats = cache.stats()
-            assert stats["pinned"] == 1
-            assert stats["n_open"] == 1
+        cache.get(digest, path)
+        assert cache.stats() == {"capacity": 2, "n_open": 1, "opens": 1, "hits": 0}
         cache.close()
 
     def test_capacity_validated(self):

@@ -375,7 +375,7 @@ class TestRepoCli:
         assert main_repo(["--root", root, "path", digest[:8]]) == 0
         assert capsys.readouterr().out.strip().endswith("trace.bsctrace")
 
-        assert main_repo(["--root", root, "reindex"]) == 0
+        assert main_repo(["--root", root, "fsck"]) == 0
         assert main_repo(["--root", root, "rm", digest[:8]]) == 0
         capsys.readouterr()
         assert main_repo(["--root", root, "path", digest]) == 1
@@ -393,6 +393,39 @@ class TestRepoCli:
         assert len(listing) == 1
         (meta,) = listing.values()
         assert meta["workload"] == "hpcg"
+
+    def test_fsck_names_a_truncated_container(self, trace_file, tmp_path, capsys):
+        from repro.cli import main_repo
+        from repro.repo import TraceRepo
+
+        root = str(tmp_path / "repo")
+        assert main_repo(["--root", root, "put", str(trace_file)]) == 0
+        digest = capsys.readouterr().out.split()[0]
+        assert main_repo(["--root", root, "fsck"]) == 0
+        assert capsys.readouterr().out == ""
+
+        stored = TraceRepo(root).path(digest)
+        with open(stored, "r+b") as f:
+            f.truncate(stored.stat().st_size // 2)
+        assert main_repo(["--root", root, "fsck"]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"{digest}  unreadable container")
+
+    def test_rm_of_a_traversal_digest_fails(self, trace_file, tmp_path, capsys):
+        import shutil
+
+        from repro.cli import main_repo
+
+        root = str(tmp_path / "repo")
+        assert main_repo(["--root", root, "put", str(trace_file)]) == 0
+        digest = capsys.readouterr().out.split()[0]
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        shutil.copy(trace_file, outside / "trace.bsctrace")
+        evil = digest[:2] + "../../../outside" + "/." * 23
+        assert main_repo(["--root", root, "rm", evil]) == 1
+        assert "hex" in capsys.readouterr().err
+        assert (outside / "trace.bsctrace").exists()
 
     def test_unknown_digest_fails_cleanly(self, tmp_path, capsys):
         from repro.cli import main_repo
