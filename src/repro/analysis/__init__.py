@@ -17,9 +17,8 @@
   tool: hybrid-memory placement advice from read/write asymmetry;
 * :mod:`repro.analysis.reuse` — sampled reuse-distance profiles (the
   introduction's locality use case);
-* :mod:`repro.analysis.ranks` — cross-rank aggregation over a rank-set
-  run: pooled per-rank folds, the instance-weighted cluster report and
-  per-rank imbalance metrics.
+* :mod:`repro.analysis.ranks` — per-rank imbalance metrics over a
+  rank-set run (what ``bsc-memtools-run --ranks`` prints).
 """
 
 from repro.analysis.bandwidth import phase_bandwidth_MBps
@@ -37,14 +36,7 @@ from repro.analysis.hybrid import (
 )
 from repro.analysis.metrics import RunMetrics, run_metrics
 from repro.analysis.phases import IterationPhases, Phase, segment_iteration
-from repro.analysis.ranks import (
-    ClusterReport,
-    Imbalance,
-    RankFold,
-    RankStats,
-    build_cluster_report,
-    fold_ranks,
-)
+from repro.analysis.ranks import Imbalance
 from repro.analysis.regions import RegionReport, region_progress
 from repro.analysis.roofline import MachineRoof, RooflineReport, roofline
 from repro.analysis.reuse import ReuseProfile, sampled_reuse_profile
@@ -52,11 +44,8 @@ from repro.analysis.streams import DataStream, StreamReport, identify_streams
 from repro.analysis.sweeps import Sweep, detect_sweeps
 
 __all__ = [
-    "ClusterReport",
     "DataStream",
     "Imbalance",
-    "RankFold",
-    "RankStats",
     "FoldedComparison",
     "LatencyBreakdown",
     "Figure1",
@@ -72,9 +61,7 @@ __all__ = [
     "StreamReport",
     "Sweep",
     "advise_placement",
-    "build_cluster_report",
     "build_figure1",
-    "fold_ranks",
     "compare_reports",
     "latency_breakdown",
     "top_cost_samples",

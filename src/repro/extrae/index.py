@@ -17,11 +17,14 @@ each lookup drops from O(n_samples) to O(result).  Time windows use
 ``searchsorted`` against the (already sorted) ``time_ns`` column.
 
 Obtain one via :meth:`repro.extrae.trace.Trace.index`; it is cached on
-the trace and invalidated by any mutating ``add_*``.
+the trace and invalidated by any mutating ``add_*``.  The index holds
+its trace weakly, so a trace that caches its index is no reference
+cycle and is freed as soon as its last reference drops.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -197,17 +200,24 @@ class TraceIndex:
     """Event + sample indexes of one trace (see module docstring)."""
 
     def __init__(self, trace: "Trace") -> None:
-        self._trace = trace
+        self._trace = weakref.ref(trace)
         self.events = EventIndex(trace.events)
         self._samples: SampleIndex | None = None
 
     @property
     def samples(self) -> SampleIndex:
-        """The sample-side index (consolidates the table on first use)."""
+        """The sample-side index (consolidates the table on first use).
+
+        Once built it holds the table, not the trace; the first use
+        needs the trace alive.
+        """
         if self._samples is None:
+            trace = self._trace()
+            if trace is None:
+                raise RuntimeError("the indexed trace has been freed")
             self._samples = SampleIndex(
-                self._trace.sample_table(),
-                n_labels=len(self._trace.labels),
-                n_callstacks=self._trace.n_callstacks,
+                trace.sample_table(),
+                n_labels=len(trace.labels),
+                n_callstacks=trace.n_callstacks,
             )
         return self._samples

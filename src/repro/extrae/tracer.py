@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
 
 from repro.extrae.events import EventKind, TraceEvent
 from repro.extrae.memalloc import AllocationInterceptor
@@ -88,15 +87,6 @@ class TracerConfig:
         :meth:`Tracer.finalize` and raise on any error-severity
         invariant violation.  Opt-in: the pass re-reads the whole
         sample table, which is measurable on very large traces.
-    live_fold:
-        Optional in-process monitoring hook, typically a
-        :class:`~repro.folding.stream.LiveFold`.  The tracer feeds it
-        every harvested sample block (merged and time-sorted) through
-        ``observe``, every :meth:`Tracer.iteration` mark through
-        ``mark_iteration``, and — if the hook exposes
-        ``bind_callstacks`` — its trace's call-stack interner, so a
-        running simulation can serve partial folded snapshots without
-        a second process or a finished trace.
     """
 
     alloc_threshold_bytes: int = 1024
@@ -110,7 +100,6 @@ class TracerConfig:
     mpx_quantum_ns: float = 200_000.0
     spe_remote_fraction: float = 0.08
     self_check: bool = False
-    live_fold: object | None = None
 
     def __post_init__(self) -> None:
         if self.sampler not in SAMPLER_NAMES:
@@ -178,22 +167,16 @@ class Tracer:
         self.config = config or TracerConfig()
         self.trace = Trace()
         self._stack = CallStack((root or Frame("main", "main.cpp", 0),))
-        # A bound method (unlike a lambda) keeps the tracer picklable,
-        # which the multi-rank process pool relies on.
+        # The clock reads the machine, not the tracer: a bound method of
+        # the tracer would make every tracer a reference cycle that keeps
+        # its finished trace alive until the cyclic GC runs.  A partial
+        # (unlike a lambda) stays picklable.
         self.interceptor = AllocationInterceptor(
             allocator,
             threshold_bytes=self.config.alloc_threshold_bytes,
-            clock=self._machine_time,
+            clock=partial(getattr, machine, "time_ns"),
         )
         self._finalized = False
-        self.live_fold = self.config.live_fold
-        if self.live_fold is not None and hasattr(
-            self.live_fold, "bind_callstacks"
-        ):
-            self.live_fold.bind_callstacks(self.trace.callstack)
-
-    def _machine_time(self) -> float:
-        return self.machine.time_ns
 
     # -- call-stack & regions ------------------------------------------------
     @property
@@ -228,8 +211,6 @@ class Tracer:
         self.trace.add_event(
             TraceEvent(self.machine.time_ns, EventKind.ITERATION, name)
         )
-        if self.live_fold is not None:
-            self.live_fold.mark_iteration(self.machine.time_ns)
 
     def marker(self, name: str, **payload) -> None:
         """Free-form phase marker."""
@@ -249,48 +230,7 @@ class Tracer:
             stack = stack.push(batch.source)
         for block in execution.samples:
             self.trace.add_samples(block, stack)
-        if self.live_fold is not None:
-            self._feed_live(execution.samples, stack)
         return execution
-
-    def _feed_live(self, blocks, stack: CallStack) -> None:
-        """Deliver one batch's sample blocks to the live-fold hook.
-
-        A batch's load and store blocks overlap in time, and a live
-        fold requires time-ordered chunks — so the blocks are merged
-        and stably time-sorted into one chunk carrying exactly the
-        columns the hook asks for.
-        """
-        blocks = [b for b in blocks if b.n]
-        if not blocks:
-            return
-        names = getattr(self.live_fold, "required_columns", ("time_ns",))
-        times = np.concatenate([b.times_ns for b in blocks])
-        order = np.argsort(times, kind="stable")
-        chunk: dict[str, np.ndarray] = {}
-        for name in names:
-            if name == "time_ns":
-                col = times
-            elif name == "address":
-                col = np.concatenate([b.addresses for b in blocks])
-            elif name == "op":
-                col = np.concatenate(
-                    [np.full(b.n, int(b.op), dtype=np.int64) for b in blocks]
-                )
-            elif name == "source":
-                col = np.concatenate([b.sources for b in blocks])
-            elif name == "latency":
-                col = np.concatenate([b.latencies for b in blocks])
-            elif name == "callstack_id":
-                col = np.full(
-                    times.size,
-                    self.trace.callstack_id(stack),
-                    dtype=np.int64,
-                )
-            else:
-                col = np.concatenate([b.counters[name] for b in blocks])
-            chunk[name] = col[order]
-        self.live_fold.observe(chunk)
 
     # -- allocation grouping ------------------------------------------------
     @contextmanager

@@ -27,15 +27,14 @@ evolution from coarse-grained sampling:
   fold entry builds: fold parameters, their checks and the cache
   address;
 * :mod:`repro.folding.plan` — :class:`FoldPlan`, the reusable
-  trace-dependent half of a fold (sweeps fit many parameter points
-  against one plan);
+  trace-dependent half of a fold (a bandwidth or grid scan fits many
+  parameter points against one plan);
 * :mod:`repro.folding.cache` — the opt-in content-addressed on-disk
   report cache keyed by (trace digest, fold parameters);
 * :mod:`repro.folding.stream` — bounded-memory chunkwise folding: the
   exact two-pass :func:`stream_fold_trace` (counter curves
-  bit-identical to the resident fold) and the single-pass live
-  :class:`LiveFold`, both able to carry the streamed address/line
-  directions;
+  bit-identical to the resident fold), able to carry the streamed
+  address/line directions;
 * :mod:`repro.folding.stream_views` — the bounded per-direction
   summaries behind the streamed :class:`StreamedReport`: exact
   additive address accounting, deterministic reservoir + density
@@ -65,7 +64,6 @@ from repro.folding.model import (
     FoldedCurve,
     fit_counter_curves,
     fold_counters,
-    merge_counters,
 )
 from repro.folding.plan import FoldPlan
 from repro.folding.report import FoldedReport, fold_trace
@@ -73,7 +71,6 @@ from repro.folding.reps import Representatives, select_representatives
 from repro.folding.signatures import InstanceSignatures, instance_signatures
 from repro.folding.spec import FoldSpec
 from repro.folding.stream import (
-    LiveFold,
     StreamedFold,
     StreamingFold,
     fold_digest,
@@ -94,7 +91,6 @@ __all__ = [
     "FoldPlan",
     "FoldSpec",
     "InstanceSignatures",
-    "LiveFold",
     "Representatives",
     "StreamedAddresses",
     "StreamedFold",
@@ -119,7 +115,6 @@ __all__ = [
     "instance_signatures",
     "measure_address_fidelity",
     "measure_fidelity",
-    "merge_counters",
     "build_warp",
     "render_figure",
     "instances_from_iterations",

@@ -63,17 +63,8 @@ class LineTableBuilder:
         self._cs_line: dict[int, int] = {}
         self._cs_region: dict[int, int] = {}
 
-    def bind(self, resolver) -> None:
-        """Late-bind the call-stack resolver (live Tracer wiring)."""
-        self._resolver = resolver
-
     def intern(self, cs_ids) -> None:
         """Register call-stack ids (iterated in the given order)."""
-        if self._resolver is None:
-            raise ValueError(
-                "no call-stack resolver bound — pass one at construction "
-                "or via bind()"
-            )
         for cs_id in cs_ids:
             cs_id = int(cs_id)
             if cs_id in self._cs_line:

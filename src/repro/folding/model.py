@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "counter_design",
     "fit_counter_curves",
     "fold_counters",
-    "merge_counters",
 ]
 
 
@@ -129,59 +128,6 @@ class FoldedCounters:
             for arr in (c.sigma, c.cumulative, c.rate):
                 h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
         return h.hexdigest()
-
-
-def merge_counters(
-    folded: Sequence[FoldedCounters],
-    weights: Sequence[float] | None = None,
-) -> FoldedCounters:
-    """Weighted mean of several folded counter sets on one σ grid.
-
-    The cross-rank merge: each input is one rank's per-instance mean
-    curve, so weighting by that rank's instance count makes the result
-    the mean over *all* instances of the cluster.  All inputs must have
-    been fit on the same grid with the same counter set; curves,
-    per-instance totals and mean durations are combined with the same
-    weights, so derived rates (``mips()``, ``per_instruction()``) stay
-    internally consistent.
-    """
-    if not folded:
-        raise ValueError("cannot merge zero folded counter sets")
-    first = folded[0]
-    names = tuple(first.curves)
-    grid = first.sigma
-    if weights is None:
-        w = np.ones(len(folded), dtype=np.float64)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.size != len(folded) or (w < 0).any() or w.sum() <= 0:
-            raise ValueError(
-                f"need {len(folded)} nonnegative weights with positive sum"
-            )
-    w = w / w.sum()
-    for c in folded[1:]:
-        if tuple(c.curves) != names:
-            raise ValueError("folded counter sets disagree on counter names")
-        if c.sigma.size != grid.size or not np.array_equal(c.sigma, grid):
-            raise ValueError("folded counter sets disagree on the σ grid")
-    curves: dict[str, FoldedCurve] = {}
-    for name in names:
-        cumulative = sum(
-            wi * c.curves[name].cumulative for wi, c in zip(w, folded)
-        )
-        rate = sum(wi * c.curves[name].rate for wi, c in zip(w, folded))
-        total = float(
-            sum(wi * c.curves[name].total_mean for wi, c in zip(w, folded))
-        )
-        curves[name] = FoldedCurve(
-            name=name,
-            sigma=grid,
-            cumulative=cumulative,
-            rate=rate,
-            total_mean=total,
-        )
-    duration = float(sum(wi * c.duration_ns for wi, c in zip(w, folded)))
-    return FoldedCounters(curves=curves, duration_ns=duration)
 
 
 def counter_design(

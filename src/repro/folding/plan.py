@@ -9,12 +9,14 @@ Folding a trace splits into two very different halves:
 * **parameter-dependent** — the kernel regression over (grid ×
   samples) at one ``grid_points``/``bandwidth``/counter subset.
 
-:class:`FoldPlan` captures the first half once.  Sweeps that vary only
-fit parameters (the kernel ablation, bandwidth/grid scans,
-:func:`repro.parallel.fold_sweep`) call :meth:`FoldPlan.fold` per point
-instead of re-running :func:`~repro.folding.report.fold_trace` from
-scratch — bit-identical output, because ``fold_trace`` itself is just
-``FoldPlan.from_trace(...).fold(...)``.
+:class:`FoldPlan` captures the first half once.  A bandwidth or grid
+scan calls :meth:`FoldPlan.fold` per point instead of re-running
+:func:`~repro.folding.report.fold_trace` from scratch — bit-identical
+output, because ``fold_trace`` itself is just
+``FoldPlan.from_trace(...).fold(...)``::
+
+    plan = FoldPlan.from_trace(trace)
+    reports = [plan.fold(bandwidth=b) for b in (0.01, 0.015, 0.05)]
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class FoldPlan:
     Build once with :meth:`from_trace`, then :meth:`fold` any number of
     parameter points against it.  Kernel-regression designs are cached
     per counter subset, so even the sample-side aggregation of the
-    batched fit is shared across a bandwidth/grid sweep.
+    batched fit is shared across a bandwidth/grid scan.
     """
 
     trace: Trace

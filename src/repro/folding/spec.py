@@ -6,7 +6,7 @@ which path folds it (resident, streamed, representative).  Every fold
 entry builds one :class:`FoldSpec` from its own inputs:
 :func:`~repro.folding.report.fold_trace`,
 :func:`~repro.folding.stream.stream_fold_trace`,
-:func:`~repro.analysis.ranks.fold_ranks`, ``bsc-memtools-fold`` and the
+:func:`~repro.pipeline.analyze_hpcg`, ``bsc-memtools-fold`` and the
 analysis service's ``/fold`` route.  So the defaults, the range checks,
 the rules for combining paths and the
 :class:`~repro.folding.cache.FoldCache` address are written once, here.

@@ -43,21 +43,13 @@ design through the same :func:`~repro.folding.model.fit_counter_curves`
 path as the resident fold — digest-identical output, checked by the
 chunk-invariance property tests and the ``stream`` benchmark scenario.
 
-Two drivers sit on top of the :class:`StreamingFold` accumulator:
-
-* :func:`stream_fold_trace` — the exact two-pass fold of a finished
-  trace (pass 1: instance boundaries from the event sidecar + scalar
-  prologue reductions; pass 2: accumulate), sharing
-  :class:`~repro.folding.cache.FoldCache` entries with resident folds
-  under unchanged keys;
-* :class:`LiveFold` — a single-pass monitoring-style fold over a live
-  sample stream whose instance boundaries arrive *with* the data, and
-  which emits partial :class:`~repro.folding.model.FoldedCounters`
-  snapshots on demand.  It cannot know the final σ span or kept count
-  up front, so it always bins on the fixed [0, 1] span — deterministic
-  and chunk-invariant, but a documented approximation of the resident
-  fit (the bin width, 1/4096, is at most bandwidth/8 for every
-  bandwidth the ablations use).
+The driver on top of the :class:`StreamingFold` accumulator is
+:func:`stream_fold_trace` — the exact two-pass fold of a finished trace
+(pass 1: instance boundaries from the event sidecar + scalar prologue
+reductions; pass 2: accumulate), sharing
+:class:`~repro.folding.cache.FoldCache` entries with resident folds
+under unchanged keys.  Its ``on_snapshot`` hook reports partial curves
+while pass 2 runs (``bsc-memtools-fold --live-report-every``).
 
 The streamed product is no longer counters-only: with
 ``directions=("counters", "address", "lines")`` the driver also feeds
@@ -83,14 +75,8 @@ from repro.extrae.trace import Trace
 from repro.folding.detect import FoldInstances, instances_from_iterations
 from repro.folding.fold import _inside_mask, boundary_increments
 from repro.folding.model import FoldedCounters, fit_counter_curves
-from repro.folding.spec import FoldSpec, normalize_directions
-from repro.folding.stream_views import (
-    LINE_SIGMA_BINS,
-    RESERVOIR_CAPACITY,
-    AddressStream,
-    LineStream,
-    StreamedReport,
-)
+from repro.folding.spec import FoldSpec
+from repro.folding.stream_views import AddressStream, LineStream, StreamedReport
 from repro.objects.registry import DataObjectRegistry
 from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.util.pava import (
@@ -104,7 +90,6 @@ from repro.util.pava import (
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
-    "LiveFold",
     "StreamPrologue",
     "StreamedFold",
     "StreamedReport",
@@ -167,8 +152,6 @@ def build_prologue(
     instances: FoldInstances,
     counters: tuple[str, ...] = SAMPLE_COUNTERS,
     *,
-    span_override: tuple[float, float] | None = None,
-    force_binned: bool = False,
     track_address: bool = False,
 ) -> StreamPrologue:
     """Stream *chunks* once, resolving boundaries and scalar reductions.
@@ -180,12 +163,10 @@ def build_prologue(
     bit-identical to ``np.interp`` over the whole series, whatever the
     chunking (see the module docstring).
 
-    ``span_override``/``force_binned`` pin the design regime instead of
-    deriving it from the data — :class:`LiveFold` equivalence tests use
-    them; exact folds leave them alone.  With ``track_address`` the
-    chunks must also carry an ``address`` column, and the kept-sample
-    address min/max (the density-sketch span, another exact scalar
-    reduction) is recorded in :attr:`StreamPrologue.addr_range`.
+    With ``track_address`` the chunks must also carry an ``address``
+    column, and the kept-sample address min/max (the density-sketch
+    span, another exact scalar reduction) is recorded in
+    :attr:`StreamPrologue.addr_range`.
     """
     starts = instances.starts_ns
     ends = instances.ends_ns
@@ -265,17 +246,13 @@ def build_prologue(
             c_start[name], c_end[name]
         )
 
-    if span_override is not None:
-        span = (float(span_override[0]), float(span_override[1]))
-    else:
-        span = (smin, smax) if n_kept else None
     return StreamPrologue(
         instances=instances,
         counters=tuple(counters),
         n_rows=n_rows,
         n_kept=n_kept,
-        span=span,
-        binned=force_binned or n_kept > BIN_THRESHOLD,
+        span=(smin, smax) if n_kept else None,
+        binned=n_kept > BIN_THRESHOLD,
         c_start=c_start,
         c_end=c_end,
         totals=totals,
@@ -521,9 +498,9 @@ def stream_fold_trace(
     does), and builds the bounded summaries with the
     :mod:`~repro.folding.stream_views` constants — ``RESERVOIR_CAPACITY``
     reservoir points, seed 0, uniform weighting, ``LINE_SIGMA_BINS``
-    line bins — which the spec's cache key records.  Other settings
-    are an :class:`~repro.folding.stream_views.AddressStream` or
-    :class:`LiveFold` concern.
+    line bins — which the spec's cache key records.  Other reservoir
+    settings are an :class:`~repro.folding.stream_views.AddressStream`
+    concern.
 
     Parameters
     ----------
@@ -665,349 +642,3 @@ def _adapt_cache_hit(hit, dirs) -> StreamedFold | StreamedReport | None:
             n_folded=hit.n_folded,
         )
     return None
-
-
-# ---------------------------------------------------------------------------
-# Single-pass live mode.
-# ---------------------------------------------------------------------------
-
-
-class LiveFold:
-    """Single-pass monitoring fold: boundaries arrive with the stream.
-
-    For always-on consumers watching a *live* sample source (a running
-    :class:`~repro.extrae.tracer.Tracer`, a socket, a growing file):
-    feed sample chunks through :meth:`observe` and iteration markers
-    through :meth:`mark_iteration` as they happen; call
-    :meth:`snapshot` any time for the partial curves and
-    :meth:`finish` once for the final :class:`StreamedFold`.
-
-    Because the final σ span and kept count are unknowable mid-stream,
-    the design always bins on the fixed [0, 1] span — deterministic and
-    chunk-invariant, but not bit-identical to the resident fit (bin
-    width 1/4096 ≤ bandwidth/8 for every ablation bandwidth; the
-    equivalence tests pin it against :class:`StreamingFold` with the
-    same span override).  Instances are not outlier-pruned: a monitor
-    wants to *see* the perturbed instance, not drop it.
-
-    Memory: the design sums plus a raw-row buffer covering the open
-    instance and the interpolation window — O(chunk + one instance),
-    never O(stream).
-
-    With ``directions`` beyond ``("counters",)`` the flush also feeds
-    the bounded address/line accumulators of
-    :mod:`repro.folding.stream_views`, and :meth:`snapshot_report`
-    serves a partial three-panel
-    :class:`~repro.folding.stream_views.StreamedReport` at any point.
-    Live limitations, both documented approximations of the offline
-    streamed report: the address view has no density sketch (the span
-    is unknowable up front) and no object registry (objects are still
-    being allocated) — resolve offline against the saved trace for
-    full fidelity.  Hook a live fold onto a running simulation with
-    ``TracerConfig(live_fold=...)``; the
-    :class:`~repro.extrae.tracer.Tracer` feeds samples, iteration
-    marks and its call-stack interner automatically.
-    """
-
-    def __init__(
-        self,
-        counters: tuple[str, ...] = SAMPLE_COUNTERS,
-        grid_points: int = 201,
-        bandwidth: float = 0.015,
-        name: str = "iteration",
-        directions=None,
-        callstack_resolver=None,
-        reservoir_capacity: int = RESERVOIR_CAPACITY,
-        reservoir_seed: int = 0,
-        reservoir_weighting: str = "uniform",
-        line_sigma_bins: int = LINE_SIGMA_BINS,
-    ) -> None:
-        self._counters = tuple(counters)
-        self.grid_points = grid_points
-        self.bandwidth = bandwidth
-        self._name = name or "iteration"
-        dirs = normalize_directions(directions)
-        self._directions = dirs if dirs is not None else ("counters",)
-        self._addr: AddressStream | None = None
-        self._line: LineStream | None = None
-        extras: tuple[str, ...] = ()
-        if "address" in self._directions:
-            self._addr = AddressStream(
-                DataObjectRegistry(),
-                None,
-                capacity=reservoir_capacity,
-                seed=reservoir_seed,
-                weighting=reservoir_weighting,
-            )
-            extras += ("address", "op", "source", "latency")
-        if "lines" in self._directions:
-            self._line = LineStream(
-                callstack_resolver, sigma_bins=line_sigma_bins
-            )
-            extras += ("callstack_id",)
-        self._extras = extras
-        self._edges = design_bin_edges(0.0, 1.0)
-        k = len(self._counters)
-        self._acc_w = np.zeros(DESIGN_BINS, dtype=np.float64)
-        self._acc_wy = np.zeros((k, DESIGN_BINS), dtype=np.float64)
-        self._marks: list[float] = []
-        self._bvals: dict[float, dict[str, float]] = {}
-        self._intervals: list[tuple[float, float]] = []
-        self._totals: dict[str, list[float]] = {n: [] for n in self._counters}
-        self._degen: dict[str, list[bool]] = {n: [] for n in self._counters}
-        self._flushed = 0
-        self._buf: list[dict[str, np.ndarray]] = []
-        self._prev: dict[str, np.ndarray] | None = None
-        self._dropped_t = -math.inf
-        self._last_t: float | None = None
-        self._finished = False
-        self.n_rows = 0
-        self.n_folded = 0
-
-    @property
-    def required_columns(self) -> tuple[str, ...]:
-        """Columns every :meth:`observe` chunk must carry."""
-        return ("time_ns", *self._counters, *self._extras)
-
-    def bind_callstacks(self, resolver) -> None:
-        """Late-bind the call-stack resolver for the line direction
-        (the :class:`~repro.extrae.tracer.Tracer` hook calls this with
-        its trace's interner)."""
-        if self._line is not None:
-            self._line.bind(resolver)
-
-    # -- inputs ------------------------------------------------------------
-    def observe(self, chunk) -> None:
-        """Feed one time-ordered sample chunk."""
-        if self._finished:
-            raise ValueError("LiveFold is finished")
-        cols = _chunk_columns(chunk, self.required_columns)
-        t = cols["time_ns"]
-        if t.size == 0:
-            return
-        if (np.diff(t) < 0.0).any() or (
-            self._last_t is not None and t[0] < self._last_t
-        ):
-            raise ValueError("sample chunks must arrive in time order")
-        # Copy: a live source may reuse or grow its buffers under us.
-        self._buf.append({name: arr.copy() for name, arr in cols.items()})
-        self._last_t = float(t[-1])
-        self.n_rows += int(t.size)
-        self._drain()
-
-    def mark_iteration(self, time_ns: float) -> None:
-        """Record an iteration boundary at *time_ns*.
-
-        Marks must be strictly increasing and roughly in stream
-        position: a mark may trail the samples by up to the retained
-        buffer (chunk-granularity lateness is fine), but once rows at
-        or past a time have been trimmed, a mark there would fold from
-        lost data and is rejected.
-        """
-        if self._finished:
-            raise ValueError("LiveFold is finished")
-        time_ns = float(time_ns)
-        if self._marks and time_ns <= self._marks[-1]:
-            raise ValueError("iteration marks must strictly increase")
-        if time_ns <= self._dropped_t:
-            raise ValueError(
-                "iteration mark arrived after its samples were trimmed — "
-                "deliver marks in stream order"
-            )
-        self._marks.append(time_ns)
-        if len(self._marks) >= 2:
-            self._intervals.append((self._marks[-2], self._marks[-1]))
-        self._drain()
-
-    def finish(self, end_time_ns: float | None = None) -> StreamedFold:
-        """Close the open instance and return the final fold.
-
-        The last instance ends at *end_time_ns* (default: the last
-        observed sample time), mirroring how the offline instance
-        detection closes on the end marker or the trace end.
-        """
-        if self._finished:
-            raise ValueError("LiveFold is already finished")
-        if not self._marks:
-            raise ValueError("no iteration marks observed")
-        end = end_time_ns if end_time_ns is not None else self._last_t
-        if end is not None and float(end) > self._marks[-1]:
-            self._intervals.append((self._marks[-1], float(end)))
-        if not self._intervals:
-            raise ValueError("no closed instances to fold")
-        self._finished = True
-        self._drain()
-        instances = FoldInstances(self._name, tuple(self._intervals))
-        counters = self._fit(instances.mean_duration_ns)
-        return StreamedFold(
-            instances=instances,
-            counters=counters,
-            totals={
-                n: np.asarray(v, dtype=np.float64)
-                for n, v in self._totals.items()
-            },
-            degenerate={
-                n: np.asarray(v, dtype=bool) for n, v in self._degen.items()
-            },
-            n_folded=self.n_folded,
-        )
-
-    # -- partial output ----------------------------------------------------
-    def snapshot(self) -> FoldedCounters | None:
-        """Partial curves over the instances flushed so far.
-
-        ``None`` until at least one instance has closed with samples.
-        """
-        if self._flushed == 0 or self.n_folded == 0:
-            return None
-        closed = self._intervals[: self._flushed]
-        durations = np.asarray([t1 - t0 for t0, t1 in closed])
-        return self._fit(float(durations.mean()))
-
-    def snapshot_report(self) -> StreamedReport | None:
-        """Partial three-panel report over the instances flushed so far.
-
-        ``None`` until at least one instance has closed with samples.
-        The performance panel matches :meth:`snapshot`; address and
-        line panels (when their directions are live) hold exactly the
-        flushed samples — a mid-simulation consumer sees the trace
-        folded up to the last completed instance.
-        """
-        counters = self.snapshot()
-        if counters is None:
-            return None
-        closed = tuple(self._intervals[: self._flushed])
-        performance = StreamedFold(
-            instances=FoldInstances(self._name, closed),
-            counters=counters,
-            totals={
-                n: np.asarray(v[: self._flushed], dtype=np.float64)
-                for n, v in self._totals.items()
-            },
-            degenerate={
-                n: np.asarray(v[: self._flushed], dtype=bool)
-                for n, v in self._degen.items()
-            },
-            n_folded=self.n_folded,
-        )
-        return StreamedReport(
-            performance=performance,
-            addresses=self._addr.result() if self._addr is not None else None,
-            lines=self._line.result() if self._line is not None else None,
-            directions=self._directions,
-        )
-
-    def _fit(self, duration_ns: float) -> FoldedCounters:
-        if self.n_folded == 0:
-            raise ValueError("cannot fold counters without samples")
-        design = binned_design_from_sums(self._edges, self._acc_w, self._acc_wy)
-        totals_mean = {
-            name: float(np.asarray(vals, dtype=np.float64).mean())
-            for name, vals in self._totals.items()
-        }
-        return fit_counter_curves(
-            design,
-            grid_points=self.grid_points,
-            bandwidth=self.bandwidth,
-            counters=self._counters,
-            totals_mean=totals_mean,
-            duration_ns=duration_ns,
-        )
-
-    # -- internals ---------------------------------------------------------
-    def _window(self) -> dict[str, np.ndarray]:
-        parts = ([self._prev] if self._prev is not None else []) + self._buf
-        if not parts:
-            return {}
-        return {
-            name: np.concatenate([p[name] for p in parts])
-            for name in self.required_columns
-        }
-
-    def _boundary(self, at: float) -> dict[str, float]:
-        """Counter readings at boundary time *at*, from the window.
-
-        ``np.interp`` at a point only reads the rightmost row at or
-        before it and its successor; the trim policy retains both (or
-        carries the left one in ``_prev``), so this equals the
-        interpolation over the whole series — see the module docstring.
-        """
-        vals = self._bvals.get(at)
-        if vals is None:
-            window = self._window()
-            if not window or window["time_ns"].size == 0:
-                vals = {name: 0.0 for name in self._counters}
-            else:
-                tw = window["time_ns"]
-                vals = {
-                    name: float(np.interp(at, tw, window[name]))
-                    for name in self._counters
-                }
-            self._bvals[at] = vals
-        return vals
-
-    def _drain(self) -> None:
-        while self._flushed < len(self._intervals):
-            t1 = self._intervals[self._flushed][1]
-            if not self._finished and not (
-                self._last_t is not None and t1 < self._last_t
-            ):
-                break  # end boundary not strictly passed yet
-            self._flush(self._flushed)
-            self._flushed += 1
-        self._trim()
-
-    def _flush(self, i: int) -> None:
-        t0, t1 = self._intervals[i]
-        b0 = self._boundary(t0)
-        b1 = self._boundary(t1)
-        window = self._window()
-        t = window.get("time_ns", np.empty(0))
-        keep = (t >= t0) & (t < t1)
-        tk = t[keep]
-        sigma = (tk - t0) / (t1 - t0)
-        which = assign_design_bins(sigma, self._edges)
-        for row, name in enumerate(self._counters):
-            totals, degen, denom = boundary_increments(
-                np.asarray([b0[name]]), np.asarray([b1[name]])
-            )
-            frac = np.clip(
-                (window[name][keep] - b0[name]) / denom[0], 0.0, 1.0
-            )
-            np.add.at(self._acc_wy[row], which, frac)
-            self._totals[name].append(float(totals[0]))
-            self._degen[name].append(bool(degen[0]))
-        self._acc_w += np.bincount(which, minlength=DESIGN_BINS)
-        if self._addr is not None:
-            self._addr.add(
-                sigma,
-                window["address"][keep],
-                window["op"][keep],
-                window["source"][keep],
-                window["latency"][keep],
-            )
-        if self._line is not None:
-            self._line.add(sigma, window["callstack_id"][keep])
-        self.n_folded += int(tk.size)
-
-    def _trim(self) -> None:
-        """Drop buffered chunks no longer reachable by a future flush.
-
-        Rows below the first unflushed instance start (or, with every
-        closed instance flushed, below the open instance's start) can
-        only ever be needed as the left edge of a boundary-
-        interpolation window, so the last dropped row is carried in
-        ``_prev`` as that edge.
-        """
-        if self._flushed < len(self._intervals):
-            threshold = self._intervals[self._flushed][0]
-        elif self._marks and not self._finished:
-            threshold = self._marks[-1]
-        else:
-            threshold = math.inf
-        while self._buf and float(self._buf[0]["time_ns"][-1]) < threshold:
-            if not self._marks and not self._finished and len(self._buf) == 1:
-                break  # keep one chunk of slack for a slightly late first mark
-            dropped = self._buf.pop(0)
-            self._prev = {name: arr[-1:] for name, arr in dropped.items()}
-            self._dropped_t = float(dropped["time_ns"][-1])

@@ -417,9 +417,7 @@ class StreamedAddresses:
 
     accounting: AddressAccounting
     registry: DataObjectRegistry
-    #: ``None`` in live mode, where the address span is unknowable
-    #: up front (no whole-trace prologue pass)
-    sketch: DensitySketch | None
+    sketch: DensitySketch
     #: reservoir columns, in stream order
     sigma: np.ndarray
     address: np.ndarray
@@ -488,11 +486,7 @@ class StreamedAddresses:
             self.kept_index,
         )
         h.update(self.accounting.digest().encode())
-        h.update(
-            self.sketch.digest().encode()
-            if self.sketch is not None
-            else b"no-sketch"
-        )
+        h.update(self.sketch.digest().encode())
         h.update(
             f"{self.capacity}:{self.seed}:{self.weighting}".encode()
         )
@@ -500,12 +494,17 @@ class StreamedAddresses:
 
 
 class AddressStream:
-    """Chunkwise accumulator for the streamed address direction."""
+    """Chunkwise accumulator for the streamed address direction.
+
+    *addr_range* is the ``(min, max)`` address of the samples to come —
+    the span of the density sketch, which the prologue pass measures
+    (:attr:`~repro.folding.stream.StreamPrologue.addr_range`).
+    """
 
     def __init__(
         self,
         registry: DataObjectRegistry,
-        addr_range: tuple[int, int] | None,
+        addr_range: tuple[int, int],
         *,
         capacity: int = RESERVOIR_CAPACITY,
         seed: int = 0,
@@ -516,12 +515,8 @@ class AddressStream:
         self.registry = registry
         self.accounting = AddressAccounting.empty(len(registry))
         self.reservoir = AddressReservoir(capacity, seed, weighting)
-        # Live consumers cannot know the span up front; they run
-        # without the sketch (reservoir + exact accounting only).
-        self.sketch = (
-            DensitySketch.empty(addr_range[0], addr_range[1], bands, sigma_bins)
-            if addr_range is not None
-            else None
+        self.sketch = DensitySketch.empty(
+            addr_range[0], addr_range[1], bands, sigma_bins
         )
         self._kept = 0
 
@@ -539,8 +534,7 @@ class AddressStream:
         # tables, so the per-chunk cost is the lookup alone.
         object_index = self.registry.resolve_bulk(address)
         self.accounting.add(op, source, latency, object_index)
-        if self.sketch is not None:
-            self.sketch.add(sigma, address)
+        self.sketch.add(sigma, address)
         self.reservoir.add(
             self._kept,
             sigma=sigma,
@@ -672,19 +666,11 @@ class StreamedLines:
 class LineStream:
     """Chunkwise accumulator for the streamed line direction."""
 
-    def __init__(
-        self,
-        resolver=None,
-        sigma_bins: int = LINE_SIGMA_BINS,
-    ) -> None:
+    def __init__(self, resolver, sigma_bins: int = LINE_SIGMA_BINS) -> None:
         self.builder = LineTableBuilder(resolver)
         self.sigma_bins = int(sigma_bins)
         self._line_counts = np.zeros((0, self.sigma_bins), dtype=np.int64)
         self._region_counts = np.zeros((0, self.sigma_bins), dtype=np.int64)
-
-    def bind(self, resolver) -> None:
-        """Late-bind the call-stack resolver (live Tracer wiring)."""
-        self.builder.bind(resolver)
 
     def _grown(self, counts: np.ndarray, rows: int) -> np.ndarray:
         if counts.shape[0] >= rows:
@@ -806,15 +792,11 @@ class StreamedReport:
         lines = [self.performance.summary()]
         if self.addresses is not None:
             a = self.addresses
-            sketch = (
-                f"sketch {a.sketch.bands}x{a.sketch.sigma_bins}"
-                if a.sketch is not None
-                else "no sketch (live)"
-            )
             lines.append(
                 f"addresses: {a.n_folded} samples "
                 f"({a.matched_fraction():.1%} matched), "
-                f"reservoir {a.n}/{a.capacity} ({a.weighting}), " + sketch
+                f"reservoir {a.n}/{a.capacity} ({a.weighting}), "
+                f"sketch {a.sketch.bands}x{a.sketch.sigma_bins}"
             )
         if self.lines is not None:
             li = self.lines
@@ -845,8 +827,7 @@ class StreamedReport:
         a = self.addresses
         if a is not None:
             written.append(export.export_addresses_dat(a, a.registry, directory))
-            if a.sketch is not None:
-                written.append(export.export_address_density_dat(a.sketch, directory))
+            written.append(export.export_address_density_dat(a.sketch, directory))
             written.append(export.export_objects_dat(a.registry, (), directory))
         if self.lines is not None:
             written.append(export.export_codeline_density_dat(self.lines, directory))
@@ -885,11 +866,6 @@ def measure_address_fidelity(
 ) -> AddressFidelity:
     """Measure the streamed address view's fidelity bounds."""
     sketch = streamed.sketch
-    if sketch is None:
-        raise ValueError(
-            "fidelity measurement needs the density sketch — live views "
-            "(no whole-trace prologue) cannot be measured this way"
-        )
     resident_sketch = sketch_from_scatter(
         resident, sketch.lo, sketch.hi, sketch.bands, sketch.sigma_bins
     )

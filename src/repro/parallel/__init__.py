@@ -9,9 +9,8 @@ traffic is modeled inside each rank's stream (see
 ``HpcgWorkload._halo_exchange``) because only the *addresses* of halo
 data matter to the memory analysis, not the values.
 
-:mod:`repro.parallel.sweeps` holds fold parameter sweeps (bandwidth/grid
-points against one shared :class:`~repro.folding.plan.FoldPlan`) and
-seed-stability sweeps, which reuse the rank pool machinery.
+``bsc-memtools-run --ranks N`` runs the stack through :class:`RankSet`
+and writes the representative interior rank's trace.
 """
 
 from repro.parallel.ranks import (
@@ -20,22 +19,10 @@ from repro.parallel.ranks import (
     RankSummary,
     derive_rank_config,
 )
-from repro.parallel.sweeps import (
-    SeedResult,
-    SweepPoint,
-    SweepResult,
-    fold_sweep,
-    seed_sweep,
-)
 
 __all__ = [
     "RankResult",
     "RankSet",
     "RankSummary",
     "derive_rank_config",
-    "SeedResult",
-    "SweepPoint",
-    "SweepResult",
-    "fold_sweep",
-    "seed_sweep",
 ]

@@ -53,9 +53,8 @@ SPILL_PATTERN = "rank{rank:05d}.bsctrace"
 def derive_rank_config(config: SessionConfig, rank: int) -> SessionConfig:
     """The per-rank session configuration (seed-derived ASLR etc.).
 
-    One definition shared by the full-set and interior-rank paths, so a
-    rank simulated alone is bit-identical to the same rank inside the
-    full stack.
+    One definition shared by the pooled and serial paths, so a rank is
+    bit-identical whichever path ran it.
     """
     return config.with_seed(config.seed * 1009 + rank + 1)
 
@@ -438,13 +437,4 @@ class RankSet:
                 workload_factory, spill_dir=spill_dir, ordered=True,
                 progress=progress,
             )
-        )
-
-    def run_interior_rank(
-        self, workload_factory: Callable[[int, int], Workload]
-    ) -> RankResult:
-        """Run only a representative interior rank (both halos present)
-        — what the paper's single-task folded analysis looks at."""
-        return _run_rank(
-            self.n_ranks // 2, self.n_ranks, self.config, workload_factory
         )

@@ -38,7 +38,6 @@ __all__ = [
     "Session",
     "SessionConfig",
     "analyze_hpcg",
-    "analyze_hpcg_ranks",
     "publish_trace",
     "run_workload",
 ]
@@ -190,44 +189,3 @@ def analyze_hpcg(
         )
     report = fold_trace(trace, spec, cache=cache)
     return report, build_figure1(report)
-
-
-def analyze_hpcg_ranks(
-    results,
-    spec: FoldSpec | None = None,
-    *,
-    max_workers: int | None = None,
-    cache=None,
-    **fields,
-):
-    """Cluster-level §III analysis over a full rank-set run.
-
-    Folds every rank of *results* (a :meth:`repro.parallel.RankSet.run`
-    result list) through the pooled per-rank fold map, merges the
-    folded curves into the instance-weighted
-    :class:`~repro.analysis.ranks.ClusterReport`, and runs the paper's
-    single-task Figure-1 analysis on the representative interior rank.
-
-    Returns ``(cluster, report, figure)`` — the cluster report plus the
-    interior rank's :class:`~repro.folding.report.FoldedReport` and
-    :class:`~repro.analysis.figures.Figure1`.
-
-    Every rank folds by *spec* (default ``FoldSpec()``), with keyword
-    *fields* overriding single spec fields.  With ``rep_budget`` each
-    rank folds only that many representative instances (extrapolated,
-    seeded by ``rep_seed``); the interior rank's single-task report
-    stays exact.
-    """
-    from repro.analysis.ranks import build_cluster_report, fold_ranks
-
-    results = list(results)
-    if not results:
-        raise ValueError("cannot analyze zero ranks")
-    spec = replace(spec or FoldSpec(), **fields)
-    folds = fold_ranks(results, spec, max_workers=max_workers, cache=cache)
-    cluster = build_cluster_report(folds)
-    interior = results[len(results) // 2]
-    report, figure = analyze_hpcg(
-        interior.trace, replace(spec, rep_budget=None), cache=cache
-    )
-    return cluster, report, figure

@@ -52,10 +52,7 @@ class SharedTraceCache:
             self.hits += 1
             return entry
         trace = Trace.load(path)
-        # Beside the trace, not trace.index(): a trace caching its own
-        # index is a reference cycle, so an evicted one would wait for
-        # the cyclic GC instead of being freed at once.
-        entry = self._open[digest] = (trace, TraceIndex(trace))
+        entry = self._open[digest] = (trace, trace.index())
         self.opens += 1
         if len(self._open) > self.capacity:
             _digest, (evicted, _index) = self._open.popitem(last=False)

@@ -1,12 +1,17 @@
 """TraceIndex equivalence: indexed queries ≡ linear scans / boolean masks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.extrae.events import EventKind, TraceEvent
 from repro.extrae.index import group_rows
 from repro.extrae.trace import Trace
+from repro.folding.detect import instances_from_iterations
 from repro.memsim.patterns import MemOp
+from repro.validate import validate_trace
 from repro.vmem.callstack import CallStack, Frame
 
 from tests.extrae.test_trace_fastpath import make_block, run_trace
@@ -158,3 +163,30 @@ class TestInvalidation:
         trace = Trace()
         trace.add_samples(make_block([1.0], seed=1), self.STACK)
         assert trace.index() is trace.index()
+
+
+class TestLifetime:
+    """The index holds its trace weakly, so a trace that caches its
+    index is no reference cycle."""
+
+    def test_indexed_trace_freed_without_gc(self, traced, tmp_path):
+        path = traced.save(tmp_path / "t.bsctrace")
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            trace = Trace.load(path)
+            instances_from_iterations(trace)
+            trace.region_intervals("ComputeSPMV_ref")
+            validate_trace(trace)
+            index = trace.index()
+            # While the trace lives, its index answers sample queries.
+            assert index.samples.time_slice(0.0, np.inf) == slice(
+                0, trace.n_samples
+            )
+            alive = weakref.ref(trace)
+            del trace
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -138,13 +138,11 @@ class TestFoldProducts:
             b"# sigma address op source latency object\n"
         )
 
-    def test_streamed_without_lines_or_sketch(self, streamed, tmp_path):
-        live = replace(
-            streamed, lines=None,
-            addresses=replace(streamed.addresses, sketch=None),
-        )
-        names = assert_exports_match(live, tmp_path)
-        assert names == ["addresses.dat", "counters.dat", "objects.dat"]
+    def test_streamed_without_lines(self, streamed, tmp_path):
+        names = assert_exports_match(replace(streamed, lines=None), tmp_path)
+        assert names == [
+            "address_density.dat", "addresses.dat", "counters.dat", "objects.dat",
+        ]
 
     def test_many_blocks(self, hpcg_report, streamed, tmp_path, monkeypatch):
         """Block boundaries, also inside a density matrix, change no byte."""

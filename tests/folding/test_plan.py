@@ -1,8 +1,9 @@
-"""Fold plans, parameter sweeps, and the fast-path equivalence suite.
+"""Fold plans and the fast-path equivalence suite.
 
 The acceptance property of the whole folding fast path: every way of
-producing a folded report — ``fold_trace`` cold, ``FoldPlan`` reuse,
-``fold_sweep``, a report-cache hit — yields bit-identical curves.
+producing a folded report — ``fold_trace`` cold, ``FoldPlan`` reuse at
+one or several fit points, a report-cache hit — yields bit-identical
+curves.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from repro.folding.fold import fold_samples
 from repro.folding.model import fold_counters
 from repro.folding.plan import FoldPlan
 from repro.folding.report import fold_trace
-from repro.parallel import SweepPoint, fold_sweep, seed_sweep
 from repro.pipeline import SessionConfig, run_workload
 from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.validate import validate_trace
@@ -149,57 +149,6 @@ class TestDegenerateTotals:
             )
 
 
-class TestFoldSweep:
-    def test_matches_plan_folds(self, trace):
-        bws = (0.01, 0.02, 0.05)
-        results = fold_sweep(trace, bandwidths=bws)
-        assert [r.point for r in results] == [
-            SweepPoint(grid_points=201, bandwidth=bw) for bw in bws
-        ]
-        plan = FoldPlan.from_trace(trace)
-        for r in results:
-            assert_reports_identical(r.report, plan.fold(bandwidth=r.point.bandwidth))
-
-    def test_grid_cross_product_order(self, trace):
-        results = fold_sweep(
-            trace, bandwidths=(0.01, 0.05), grid_points=(51, 101)
-        )
-        assert [(r.point.grid_points, r.point.bandwidth) for r in results] == [
-            (51, 0.01), (51, 0.05), (101, 0.01), (101, 0.05),
-        ]
-        for r in results:
-            assert r.report.counters.sigma.size == r.point.grid_points
-
-    def test_empty_sweep(self, trace):
-        assert fold_sweep(trace, bandwidths=()) == []
-
-
-def _stream_factory():
-    return StreamWorkload(StreamConfig(n=1 << 13, iterations=2, blocks=2))
-
-
-class TestSeedSweep:
-    def test_seeds_deterministic(self):
-        a = seed_sweep(_stream_factory, seeds=[1, 2], grid_points=51,
-                       max_workers=1)
-        b = seed_sweep(_stream_factory, seeds=[1, 2], grid_points=51,
-                       max_workers=1)
-        assert [r.seed for r in a] == [1, 2]
-        for ra, rb in zip(a, b):
-            assert_reports_identical(ra.report, rb.report)
-
-    def test_different_seeds_differ(self):
-        a, b = seed_sweep(_stream_factory, seeds=[1, 2], grid_points=51,
-                          max_workers=1)
-        assert not np.array_equal(
-            a.report.addresses.address, b.report.addresses.address
-        )
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            seed_sweep(_stream_factory, seeds=[1], max_workers=-1)
-
-
 class TestValidatorOnFastPaths:
     """Every new report-producing path carries a trace that still
     passes the full invariant suite (fold-mass conservation included)."""
@@ -207,10 +156,6 @@ class TestValidatorOnFastPaths:
     def test_plan_fold(self, trace):
         report = FoldPlan.from_trace(trace).fold()
         validate_trace(report.trace).raise_on_error()
-
-    def test_fold_sweep(self, trace):
-        for r in fold_sweep(trace, bandwidths=(0.015,)):
-            validate_trace(r.report.trace).raise_on_error()
 
     def test_cache_hit(self, trace, tmp_path):
         from repro.folding.cache import FoldCache
@@ -246,7 +191,8 @@ class TestFastPathEquivalenceMatrix:
         cache = FoldCache(directory=tmp_path)
         fold_trace(hpcg_trace, cache=cache)
         assert_reports_identical(cold, fold_trace(hpcg_trace, cache=cache))
-        for r in fold_sweep(hpcg_trace, bandwidths=(0.01, 0.05)):
+        for bandwidth in (0.01, 0.05):
             assert_reports_identical(
-                r.report, fold_trace(hpcg_trace, bandwidth=r.point.bandwidth)
+                plan.fold(bandwidth=bandwidth),
+                fold_trace(hpcg_trace, bandwidth=bandwidth),
             )

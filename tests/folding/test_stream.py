@@ -1,4 +1,4 @@
-"""Streaming fold: exactness, chunk invariance, cache interop, LiveFold.
+"""Streaming fold: exactness, chunk invariance, cache interop.
 
 The acceptance property of the streaming pipeline: for any chunk size,
 any engine and any workload, :func:`repro.folding.stream.stream_fold_trace`
@@ -16,24 +16,14 @@ from repro.extrae.events import EventKind, TraceEvent
 from repro.extrae.trace import _SAMPLE_COLUMNS, SampleTable, Trace
 from repro.extrae.tracer import TracerConfig
 from repro.folding.cache import FoldCache
-from repro.folding.detect import instances_from_iterations
 from repro.folding.report import FoldedReport, fold_trace
-from repro.folding.stream import (
-    LiveFold,
-    StreamedFold,
-    StreamingFold,
-    build_prologue,
-    fold_digest,
-    stream_fold_trace,
-)
+from repro.folding.stream import StreamedFold, fold_digest, stream_fold_trace
 from repro.pipeline import SessionConfig, run_workload
 from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.vmem.callstack import CallStack, Frame
 from repro.workloads import HpcgWorkload
 from repro.workloads.stream import StreamConfig, StreamWorkload
 from tests.conftest import small_hpcg_config
-
-NAMES = ("time_ns", *SAMPLE_COUNTERS)
 
 
 def stream_trace(seed=3, engine="analytic", n=1 << 14, iterations=3, period=64):
@@ -281,91 +271,3 @@ class TestDegenerateClamp:
         trace = synthetic_trace(1e6)
         streamed = stream_fold_trace(trace, prune_tolerance=None)
         assert not streamed.degenerate["flops"].any()
-
-
-class TestLiveFold:
-    def feed(self, trace, chunk_rows, live=None):
-        """Drive a LiveFold from a finished trace's chunks + markers."""
-        instances = instances_from_iterations(trace)
-        marks = [instances.intervals[0][0]] + [e for _, e in instances.intervals]
-        live = live or LiveFold()
-        pending = list(marks)
-        for chunk in trace.iter_sample_chunks(NAMES, chunk_rows):
-            live.observe(chunk)
-            while pending and pending[0] <= chunk["time_ns"][-1]:
-                live.mark_iteration(pending.pop(0))
-        for mark in pending:
-            live.mark_iteration(mark)
-        return live.finish(end_time_ns=marks[-1]), instances
-
-    def reference(self, trace, instances, chunk_rows):
-        """StreamingFold pinned to LiveFold's fixed-span binned regime."""
-        prologue = build_prologue(
-            trace.iter_sample_chunks(NAMES, chunk_rows),
-            instances,
-            span_override=(0.0, 1.0),
-            force_binned=True,
-        )
-        acc = StreamingFold(prologue)
-        for chunk in trace.iter_sample_chunks(NAMES, chunk_rows):
-            acc.add_chunk(chunk)
-        return acc.result()
-
-    @pytest.mark.parametrize("chunk_rows", [64, 640])
-    def test_matches_streaming_fold(self, trace, chunk_rows):
-        final, instances = self.feed(trace, chunk_rows)
-        ref = self.reference(trace, instances, chunk_rows)
-        assert final.digest() == ref.digest()
-        for name in SAMPLE_COUNTERS:
-            curve = final.counters.curves[name]
-            refc = ref.counters.curves[name]
-            np.testing.assert_array_equal(curve.cumulative, refc.cumulative)
-            np.testing.assert_array_equal(curve.rate, refc.rate)
-            np.testing.assert_array_equal(final.totals[name], ref.totals[name])
-
-    def test_snapshot_lifecycle(self, trace):
-        live = LiveFold()
-        assert live.snapshot() is None  # nothing flushed yet
-        _final, _ = self.feed(trace, 256, live=live)
-        partial = live.snapshot()
-        assert partial is not None and partial.sigma.size == 201
-
-    def test_buffer_stays_bounded(self, trace):
-        live = LiveFold()
-        self.feed(trace, 64, live=live)
-        # after finish the whole buffer has been flushed and trimmed
-        assert len(live._buf) <= 1
-
-    def test_errors(self, trace):
-        live = LiveFold()
-        chunks = trace.iter_sample_chunks(NAMES, 1 << 20)
-        chunk = next(chunks)
-        t = chunk["time_ns"]
-        live.observe(chunk)
-        live.mark_iteration(t[0])
-        with pytest.raises(ValueError, match="strictly increase"):
-            live.mark_iteration(t[0])
-        with pytest.raises(ValueError, match="time order"):
-            live.observe({name: chunk[name][::-1].copy() for name in NAMES})
-        live.mark_iteration(t[-1])
-        live.finish()
-        with pytest.raises(ValueError):
-            live.observe(chunk)
-        with pytest.raises(ValueError):
-            live.mark_iteration(t[-1] + 1.0)
-        with pytest.raises(ValueError, match="no iteration marks"):
-            LiveFold().finish()
-
-    def test_late_mark_after_trim_rejected(self, trace):
-        live = LiveFold()
-        chunks = list(trace.iter_sample_chunks(NAMES, 64))
-        assert len(chunks) > 2
-        for chunk in chunks:
-            live.observe(chunk)
-        # with no marks yet only one chunk of slack is retained; a
-        # first mark planted back at the trace start would fold from
-        # lost data and must be refused
-        with pytest.raises(ValueError, match="trimmed"):
-            live.mark_iteration(float(chunks[0]["time_ns"][-1]))
-        # a first mark inside the retained slack is still accepted
-        live.mark_iteration(float(chunks[-1]["time_ns"][0]))

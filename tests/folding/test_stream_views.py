@@ -10,8 +10,7 @@ The acceptance properties of the three-direction streamed report
   resident scatter is measured, not assumed;
 * the wiring works end to end: ``fold_trace(streaming=True,
   directions=...)``, the CLI ``--stream --directions``, cache ``kind``
-  separation, ASCII rendering, and :class:`LiveFold` hooked onto a
-  running :class:`~repro.extrae.tracer.Tracer`.
+  separation and ASCII rendering.
 """
 
 import numpy as np
@@ -23,7 +22,7 @@ from repro.folding.ascii_plot import render_address_panel, render_figure
 from repro.folding.cache import FoldCache
 from repro.folding.lines import FoldedLines, fold_lines, leaf_and_region
 from repro.folding.report import FoldedReport, fold_trace
-from repro.folding.stream import LiveFold, StreamedFold, stream_fold_trace
+from repro.folding.stream import StreamedFold, stream_fold_trace
 from repro.folding.stream_views import (
     AddressAccounting,
     AddressReservoir,
@@ -70,12 +69,13 @@ def streamed(trace):
     return report
 
 
-def fed_addresses(resident, chunk_rows, addr_range=None, **settings):
+def fed_addresses(resident, chunk_rows, **settings):
     """The streamed address direction of *resident*'s scatter, fed to an
-    :class:`AddressStream` with reservoir *settings*, *chunk_rows* kept
-    samples at a time in stream order (``stream_fold_trace`` always
-    builds the default reservoir)."""
+    :class:`AddressStream` over the scatter's address range with
+    reservoir *settings*, *chunk_rows* kept samples at a time in stream
+    order (``stream_fold_trace`` always builds the default reservoir)."""
     r = resident.addresses
+    addr_range = (int(r.address.min()), int(r.address.max()))
     stream = AddressStream(r.registry, addr_range, **settings)
     for lo in range(0, r.n, chunk_rows):
         part = slice(lo, lo + chunk_rows)
@@ -179,8 +179,7 @@ class TestChunkInvariance:
         """Fed at stream_fold_trace's reservoir settings, the address
         stream rebuilds its address direction bit for bit, so the
         custom reservoirs below fold what stream_fold_trace folds."""
-        sketch = streamed.addresses.sketch
-        fed = fed_addresses(resident, 333, (sketch.lo, sketch.hi))
+        fed = fed_addresses(resident, 333)
         assert fed.digest() == streamed.addresses.digest()
 
     @pytest.mark.parametrize("weighting", ["uniform", "latency"])
@@ -268,8 +267,7 @@ class TestBoundedSummaryUnits:
     def test_measured_reservoir_error_small(self, resident, streamed):
         """A genuinely subsampling reservoir: the measured band error
         is small but non-zero — the bound is real, not vacuous."""
-        sketch = streamed.addresses.sketch
-        a = fed_addresses(resident, 333, (sketch.lo, sketch.hi), capacity=256)
+        a = fed_addresses(resident, 333, capacity=256)
         fidelity = measure_address_fidelity(a, resident.addresses)
         assert fidelity.sketch_band_error == 0.0
         assert 0.0 < fidelity.reservoir_band_error < 0.1
@@ -398,68 +396,6 @@ class TestAsciiRendering:
         text = render_figure(streamed)
         assert "addresses referenced" in text
         assert "MIPS" in text
-
-
-class _SnapshottingLiveFold(LiveFold):
-    """Capture a partial three-panel report at every iteration mark."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.reports = []
-
-    def mark_iteration(self, time_ns):
-        super().mark_iteration(time_ns)
-        report = self.snapshot_report()
-        if report is not None:
-            self.reports.append(
-                (report.n_folded, report.addresses.n_folded, report.lines.n)
-            )
-
-
-class TestLiveTracerWiring:
-    """LiveFold hooked on a running Tracer folds all three directions
-    while the simulation is still producing samples."""
-
-    @pytest.fixture(scope="class")
-    def live(self):
-        live = _SnapshottingLiveFold(directions=DIRECTIONS)
-        run_workload(
-            StreamWorkload(StreamConfig(n=1 << 12, iterations=4, blocks=2)),
-            SessionConfig(
-                seed=3,
-                tracer=TracerConfig(
-                    load_period=64, store_period=64, live_fold=live
-                ),
-            ),
-        )
-        return live
-
-    def test_partial_reports_mid_run(self, live):
-        assert len(live.reports) >= 2
-        folded = [n for n, _, _ in live.reports]
-        assert folded == sorted(folded)
-        # The address/line accumulators grow with the fold.
-        assert live.reports[-1][1] > live.reports[0][1]
-        assert live.reports[-1][2] > live.reports[0][2]
-
-    def test_final_report_has_all_directions(self, live):
-        report = live.snapshot_report()
-        assert isinstance(report, StreamedReport)
-        assert report.addresses is not None and report.lines is not None
-        assert report.addresses.n_folded > 0
-        assert report.lines.n > 0
-        assert "triad" in report.lines.region_table
-
-    def test_live_limitations_are_explicit(self, live):
-        report = live.snapshot_report()
-        # No whole-trace prologue: span unknowable, registry empty.
-        assert report.addresses.sketch is None
-        assert report.addresses.matched_fraction() == 0.0
-        assert "no sketch (live)" in report.summary()
-        with pytest.raises(ValueError):
-            measure_address_fidelity(
-                report.addresses, fold_trace(stream_trace()).addresses
-            )
 
 
 class TestCli:

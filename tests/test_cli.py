@@ -119,6 +119,23 @@ class TestFold:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_live_report_every_prints_partial_folds(self, tmp_path, capsys):
+        """``--live-report-every`` prints progress lines while the
+        streamed fold runs and changes no exported byte."""
+        path = tmp_path / "s.bsctrace"
+        assert main_run(["--workload", "stream", "--seed", "7",
+                         "-o", str(path)]) == 0
+        plain, live = tmp_path / "plain", tmp_path / "live"
+        assert main_fold([str(path), "--stream", "-o", str(plain)]) == 0
+        capsys.readouterr()
+        assert main_fold([str(path), "--stream", "--chunk-rows", "5",
+                          "--live-report-every", "1", "-o", str(live)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.lstrip().startswith("partial fold:") for line in lines) >= 2
+        assert (live / "counters.dat").read_bytes() == (
+            plain / "counters.dat"
+        ).read_bytes()
+
 
 class TestReport:
     def test_prints_analysis(self, trace_file, capsys):

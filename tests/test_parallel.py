@@ -41,22 +41,6 @@ class TestRankSet:
         assert "bottom" in ann1 and "top" in ann1
         assert "bottom" in ann2 and "top" not in ann2
 
-    def test_interior_rank_shortcut(self):
-        result = RankSet(5, SessionConfig(seed=1)).run_interior_rank(factory)
-        assert result.rank == 2
-        ann = result.trace.metadata["annotations"]
-        assert "bottom" in ann and "top" in ann
-
-    def test_interior_rank_matches_full_run(self):
-        cfg = SessionConfig(seed=3)
-        full = RankSet(3, cfg).run(factory)[1]
-        solo = RankSet(3, cfg).run_interior_rank(factory)
-        assert solo.rank == 1
-        assert (
-            solo.trace.metadata["annotations"]["matrix_span"]
-            == full.trace.metadata["annotations"]["matrix_span"]
-        )
-
     def test_rejects_bad_max_workers(self):
         with pytest.raises(ValueError):
             RankSet(2, max_workers=0)

@@ -233,11 +233,3 @@ class TestSeedDerivation:
         cfg = session_config(seed=5)
         assert derive_rank_config(cfg, 0).seed == 5 * 1009 + 1
         assert derive_rank_config(cfg, 3).seed == 5 * 1009 + 4
-
-    def test_interior_rank_seed_matches_full_run(self):
-        cfg = session_config(seed=7)
-        full = RankSet(5, cfg, max_workers=1).run(FACTORIES["hpcg"])
-        solo = RankSet(5, cfg).run_interior_rank(FACTORIES["hpcg"])
-        assert solo.rank == 2
-        assert solo.summary.config.seed == full[2].summary.config.seed
-        assert solo.summary.digest == full[2].summary.digest

@@ -1,5 +1,8 @@
 """Tests for the high-level session/pipeline API."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,23 @@ class TestSession:
         trace = run_workload(StreamWorkload(StreamConfig(n=1 << 14, iterations=2)))
         assert trace.metadata["workload"] == "stream"
         assert trace.n_samples > 0
+
+    def test_finished_trace_freed_without_gc(self):
+        """No reference cycle holds a recorded trace: its buffers go
+        when its last reference drops, not at the next cyclic GC."""
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            trace = run_workload(
+                StreamWorkload(StreamConfig(n=1 << 12, iterations=2))
+            )
+            alive = weakref.ref(trace)
+            del trace
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestAnalyzeHpcg:
