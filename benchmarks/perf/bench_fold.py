@@ -9,6 +9,13 @@ folding fast path against the cold ``fold_trace`` it replaces:
 * **report cache** — a :class:`~repro.folding.cache.FoldCache` memo hit
   vs a cold fold, gated at ``MIN_CACHE_SPEEDUP``; a disk hit (a fresh
   cache, so an empty memo) is recorded;
+* **refit job** — the service's fold job
+  (:func:`~repro.service.work.fold_payload_job`, in a one-process
+  pool as the server runs it) at a second fit point of the trace it
+  just folded, which refits the plan the worker kept, vs the job that
+  folds a trace it has not planned (a copy of the same trace, so the
+  two alternate); both miss the fold cache and store their entry.
+  Gated at ``MIN_REFIT_SPEEDUP``;
 * **gnuplot export** — ``export_gnuplot`` (the block writer of
   :mod:`repro.folding.export`) vs :func:`export_rowwise`, the per-row
   f-string reference, gated at ``MIN_EXPORT_SPEEDUP``; the two must
@@ -17,18 +24,26 @@ folding fast path against the cold ``fold_trace`` it replaces:
 
 from __future__ import annotations
 
+import multiprocessing
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 
+from benchmarks.perf.bench_service import add_copies
 from repro.extrae.tracer import TracerConfig
 from repro.folding.cache import FoldCache
 from repro.folding.lines import FoldedLines
 from repro.folding.plan import FoldPlan
 from repro.folding.report import fold_trace
+from repro.folding.spec import FoldSpec
 from repro.memsim.datasource import DataSource
 from repro.pipeline import SessionConfig, run_workload
+from repro.repo import TraceRepo
+from repro.service.payloads import fold_body
+from repro.service.work import fold_payload_job
 from repro.workloads.stream import StreamConfig, StreamWorkload
 
 STREAM_N = 2_000_000
@@ -40,6 +55,7 @@ PAIRS = 16
 MIN_WARM_SPEEDUP = 5
 MIN_CACHE_SPEEDUP = 20
 MIN_EXPORT_SPEEDUP = 4
+MIN_REFIT_SPEEDUP = 1.5
 
 
 def make_trace():
@@ -142,6 +158,39 @@ def same_files(written: list[Path], reference: list[Path]) -> bool:
     )
 
 
+def measure_refit(bench, trace) -> None:
+    """Time the fold job at a second fit point against a cold one."""
+    spawn = multiprocessing.get_context("spawn")
+    with tempfile.TemporaryDirectory() as tmp, \
+            ProcessPoolExecutor(max_workers=1, mp_context=spawn) as worker:
+        repo = TraceRepo(Path(tmp) / "repo")
+        digests = [repo.put(trace).digest]
+        digests += add_copies(repo, digests[0], 1)
+        bandwidths = (0.011 + 0.0001 * i for i in count())
+        turns = count()
+        current = {}
+
+        def job():
+            current["spec"] = FoldSpec(bandwidth=next(bandwidths))
+            digest = current["digest"]
+            return worker.submit(
+                fold_payload_job, str(repo.path(digest)), digest, "counters",
+                current["spec"], 0, str(Path(tmp) / "cache"),
+            ).result()
+
+        def cold():
+            # the container the worker did not fold last: no kept plan
+            current["digest"] = digests[next(turns) % 2]
+            return job()
+
+        (_, cold_folded), (body, refit_folded) = bench.time_ratio(
+            "refit_job", cold, job, pairs=PAIRS, floor=MIN_REFIT_SPEEDUP,
+        )
+        bench.check("refit_jobs_fold", cold_folded and refit_folded)
+        bench.check("refit_body_equals_cold_fold", body == fold_body(
+            fold_trace(trace, current["spec"]), "counters"))
+
+
 def measure(bench) -> dict:
     trace = make_trace()
     plan = FoldPlan.from_trace(trace)
@@ -171,6 +220,7 @@ def measure(bench) -> dict:
             pairs=PAIRS,
         )
         entry_bytes = cache.stats().total_bytes
+    measure_refit(bench, trace)
 
     report = fold_trace(trace)
     with tempfile.TemporaryDirectory() as tmp:

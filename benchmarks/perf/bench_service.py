@@ -2,17 +2,24 @@
 
 Builds a temporary content-addressed repository with two STREAM
 traces, starts the :class:`~repro.service.server.AnalysisServer` on an
-ephemeral port, and drives it in three phases:
+ephemeral port, and drives it in four phases:
 
 * **payloads** — every (trace, direction) fold at the default spec, and
   the streamed counters fold, is requested once; each payload digest
   must match a direct :func:`~repro.folding.report.fold_trace` of the
   same container (always checked);
-* **cold folds** — each pair folds a counters key no earlier request
-  used (a new bandwidth), so the worker pool pays a real fold, then
-  requests the same key again from one idle client, which the
+* **cold folds** — each pair folds the counters of a trace no worker
+  has seen: a copy of the first trace that differs only in its
+  metadata, so it has its own digest, and no worker can refit a plan
+  it kept (a new fit point of a planned trace is a refit, not a fold).
+  Then one idle client requests the same key again, which the
   response cache answers (recorded); the warm payload must equal the
   cold one;
+* **refits** — a second, one-worker server over the same copies and a
+  fresh fold cache: each pair folds a copy no request of this server
+  has folded, then the same copy at another bandwidth, which the
+  worker refits from the plan it kept (recorded; the refit payload
+  must equal a direct fold's);
 * **load** — ``CLIENTS`` concurrent clients issue a mixed stream of
   fold, window and region requests against the warm caches; half of
   them revalidate with ``If-None-Match`` (the 304 path), half fetch
@@ -32,9 +39,10 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from itertools import count
+from contextlib import contextmanager
 from pathlib import Path
 
+from repro.extrae.trace import Trace
 from repro.extrae.tracer import TracerConfig
 from repro.folding.report import fold_trace
 from repro.pipeline import SessionConfig, run_workload
@@ -53,6 +61,8 @@ REQUESTS = 25
 WORKERS = 2
 PAIRS = 8
 MIN_WARM_SPEEDUP = 10
+#: the fit point a refit pair asks for after the default one
+REFIT_BANDWIDTH = 0.02
 
 
 def build_repo(root: Path):
@@ -73,6 +83,57 @@ def build_repo(root: Path):
             for direction in DIRECTIONS
         }
     return repo, reference
+
+
+def add_copies(repo, digest: str, n: int) -> list[str]:
+    """Digests of *n* copies of a stored trace that differ only in metadata.
+
+    Each copy folds exactly like the original, but under its own
+    digest, which no worker has folded or planned yet.
+    """
+    digests = []
+    for i in range(n):
+        with Trace.load(repo.path(digest)) as copy:
+            copy.metadata["copy"] = i
+            digests.append(repo.put(copy).digest)
+    return digests
+
+
+def pair_sides(client, copies: list[str], **again):
+    """The two sides of a cold pair on *client*.
+
+    The first folds the next copy in *copies*; the second asks for the
+    same copy again, with *again* changing the query (none: the same
+    key, which the response cache answers).
+    """
+    unfolded = iter(copies)
+    current = {}
+
+    def cold():
+        current["digest"] = next(unfolded)
+        return client.fold(current["digest"])
+
+    def second():
+        return client.fold(current["digest"], revalidate=False, **again)
+
+    return cold, second, current
+
+
+@contextmanager
+def running(server):
+    """Run *server* on a background thread until the block exits."""
+    thread = threading.Thread(target=server.run, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 60
+    while not server.port and time.monotonic() < deadline:
+        time.sleep(0.01)
+    try:
+        if not server.port:
+            raise RuntimeError("server did not come up")
+        yield server
+    finally:
+        server.request_stop()
+        thread.join(timeout=60)
 
 
 def payload_mismatches(port: int, reference: dict) -> int:
@@ -122,32 +183,14 @@ def percentile(latencies: list[float], q: float) -> float:
 def measure(bench) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         repo, reference = build_repo(Path(tmp) / "repo")
-        server = AnalysisServer(repo, workers=WORKERS)
-        thread = threading.Thread(target=server.run, daemon=True)
-        thread.start()
-        deadline = time.monotonic() + 60
-        while not server.port and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if not server.port:
-            raise RuntimeError("server did not come up")
-        try:
+        # one unfolded copy per cold pair, and one for the warm-up pair
+        copies = add_copies(repo, sorted(reference)[0], PAIRS + 1)
+        with running(AnalysisServer(repo, workers=WORKERS)) as server:
             bench.check("payload_digests_equal",
                         payload_mismatches(server.port, reference) == 0)
 
-            digest = sorted(reference)[0]
-            bandwidths = (0.011 + 0.0001 * i for i in count())
-            client = ServiceClient("127.0.0.1", server.port)
-            key = {}
-
-            def cold():
-                key["bandwidth"] = next(bandwidths)
-                return client.fold(digest, bandwidth=key["bandwidth"])
-
-            def warm():
-                return client.fold(digest, bandwidth=key["bandwidth"],
-                                   revalidate=False)
-
-            with client:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                cold, warm, _current = pair_sides(client, copies)
                 cold_payload, warm_payload = bench.time_ratio(
                     "uncontended_warm_vs_cold", cold, warm, pairs=PAIRS,
                 )
@@ -166,9 +209,26 @@ def measure(bench) -> dict:
             results = [f.result() for f in futures if f.exception() is None]
             with ServiceClient("127.0.0.1", server.port) as stats_client:
                 stats = stats_client.stats()
-        finally:
-            server.request_stop()
-            thread.join(timeout=60)
+
+        refit_server = AnalysisServer(
+            repo, workers=1, cache_dir=Path(tmp) / "refit-cache"
+        )
+        with running(refit_server) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                cold, refit, current = pair_sides(
+                    client, copies, bandwidth=REFIT_BANDWIDTH
+                )
+                _cold, refit_payload = bench.time_ratio(
+                    "refit_vs_cold", cold, refit, pairs=PAIRS,
+                )
+            refit_folds = server.counters["folds_cold"]
+        with Trace.load(repo.path(current["digest"])) as copy:
+            direct = fold_payload(
+                fold_trace(copy, bandwidth=REFIT_BANDWIDTH), "counters"
+            )
+        bench.check("refit_payload_equals_direct_fold",
+                    refit_payload["payload_digest"] == direct["payload_digest"])
+        bench.check("refits_count_as_folds", refit_folds == 2 * (PAIRS + 1))
 
     fold_lat = [x for r in results for x in r[0]]
     query_lat = [x for r in results for x in r[1]]

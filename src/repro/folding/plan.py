@@ -17,6 +17,15 @@ output, because ``fold_trace`` itself is just
 
     plan = FoldPlan.from_trace(trace)
     reports = [plan.fold(bandwidth=b) for b in (0.01, 0.015, 0.05)]
+
+The analysis service's fold worker
+(:func:`~repro.service.work.fold_payload_job`) is the entry point that
+reuses plans: it keeps the plan of the trace it folded last, without
+its trace (``trace=None``, as the fold cache stores reports), so a new
+fit point of that trace is one :meth:`FoldPlan.fold`.  A plan holds no
+view of the trace's columns (its sample, address and line views are
+copies, which the reports of the plan share), so it outlives the
+container it was built from.
 """
 
 from __future__ import annotations
@@ -43,10 +52,12 @@ class FoldPlan:
     Build once with :meth:`from_trace`, then :meth:`fold` any number of
     parameter points against it.  Kernel-regression designs are cached
     per counter subset, so even the sample-side aggregation of the
-    batched fit is shared across a bandwidth/grid scan.
+    batched fit is shared across a bandwidth/grid scan.  A plan kept
+    without its trace (``dataclasses.replace(plan, trace=None)``)
+    folds reports without one.
     """
 
-    trace: Trace
+    trace: Trace | None
     instances: FoldInstances
     samples: FoldedSamples
     addresses: FoldedAddresses

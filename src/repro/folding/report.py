@@ -124,7 +124,9 @@ def fold_trace(
     * by default the three-direction :class:`FoldedReport`, equivalent
       to ``FoldPlan.from_trace(...).fold(...)`` — callers that fold the
       same trace at several parameter points should build the
-      :class:`~repro.folding.plan.FoldPlan` themselves and reuse it;
+      :class:`~repro.folding.plan.FoldPlan` themselves and reuse it, as
+      the service's fold worker
+      (:func:`~repro.service.work.fold_payload_job`) does;
     * with ``streaming=True`` the chunkwise
       :func:`~repro.folding.stream.stream_fold_trace` in O(chunk +
       summary) parent memory: the counters-only

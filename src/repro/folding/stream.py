@@ -49,7 +49,12 @@ The driver on top of the :class:`StreamingFold` accumulator is
 reductions; pass 2: accumulate), sharing
 :class:`~repro.folding.cache.FoldCache` entries with resident folds
 under unchanged keys.  Its ``on_snapshot`` hook reports partial curves
-while pass 2 runs (``bsc-memtools-fold --live-report-every``).
+while pass 2 runs (``bsc-memtools-fold --live-report-every``).  The
+passes themselves are :func:`stream_passes`, which returns the
+finished accumulator before its fit: the fit point is an argument of
+:meth:`StreamingFold.result`, so one accumulated design serves any
+(``grid_points``, ``bandwidth``), and the service's fold worker keeps
+it to refit new fit points of the same trace.
 
 The streamed product is no longer counters-only: with
 ``directions=("counters", "address", "lines")`` the driver also feeds
@@ -97,6 +102,7 @@ __all__ = [
     "build_prologue",
     "fold_digest",
     "stream_fold_trace",
+    "stream_passes",
 ]
 
 #: Default chunk size, re-exported from the container reader.
@@ -273,23 +279,20 @@ class StreamingFold:
     Feed time-ordered sample chunks through :meth:`add_chunk`; the
     design sums grow in place (O(bins) memory, plus O(kept) only in the
     small-trace raw regime where the resident fit would not bin
-    either).  :meth:`result` fits the accumulated design — bit-identical
-    to the resident ``fold_trace`` counters when the prologue described
-    the same stream.  :meth:`snapshot` fits the partial design at any
-    point for progress-style reporting.
+    either).  :meth:`result` fits the accumulated design at one
+    (``grid_points``, ``bandwidth``) point — bit-identical to the
+    resident ``fold_trace`` counters at that point when the prologue
+    described the same stream — and a finished accumulator fits any
+    number of points, the way
+    :meth:`FoldPlan.fold <repro.folding.plan.FoldPlan.fold>` does.
+    :meth:`snapshot` fits the partial design at any point for
+    progress-style reporting.
     """
 
-    def __init__(
-        self,
-        prologue: StreamPrologue,
-        grid_points: int = 201,
-        bandwidth: float = 0.015,
-    ) -> None:
+    def __init__(self, prologue: StreamPrologue) -> None:
         if prologue.n_kept == 0:
             raise ValueError("cannot fold counters without samples")
         self.prologue = prologue
-        self.grid_points = grid_points
-        self.bandwidth = bandwidth
         k = len(prologue.counters)
         if prologue.binned:
             self._edges = design_bin_edges(*prologue.span)
@@ -357,12 +360,12 @@ class StreamingFold:
         Y = np.stack([np.concatenate(parts) for parts in self._frac_parts])
         return BinnedDesign(x=x, w=np.ones_like(x), Y=Y)
 
-    def _fit(self) -> FoldedCounters:
+    def _fit(self, grid_points: int, bandwidth: float) -> FoldedCounters:
         p = self.prologue
         return fit_counter_curves(
             self.design(),
-            grid_points=self.grid_points,
-            bandwidth=self.bandwidth,
+            grid_points=grid_points,
+            bandwidth=bandwidth,
             counters=p.counters,
             totals_mean={
                 name: float(p.totals[name].mean()) for name in p.counters
@@ -370,12 +373,16 @@ class StreamingFold:
             duration_ns=p.instances.mean_duration_ns,
         )
 
-    def snapshot(self) -> FoldedCounters:
+    def snapshot(
+        self, grid_points: int = 201, bandwidth: float = 0.015
+    ) -> FoldedCounters:
         """Partial curves over the chunks folded so far."""
-        return self._fit()
+        return self._fit(grid_points, bandwidth)
 
-    def result(self) -> "StreamedFold":
-        """Finalize after the full stream has been folded in."""
+    def result(
+        self, grid_points: int = 201, bandwidth: float = 0.015
+    ) -> "StreamedFold":
+        """The fold at one fit point, after the full stream was folded in."""
         p = self.prologue
         if self.n_folded != p.n_kept:
             raise ValueError(
@@ -384,7 +391,7 @@ class StreamingFold:
             )
         return StreamedFold(
             instances=p.instances,
-            counters=self._fit(),
+            counters=self._fit(grid_points, bandwidth),
             totals=dict(p.totals),
             degenerate=dict(p.degenerate),
             n_folded=self.n_folded,
@@ -541,14 +548,54 @@ def stream_fold_trace(
     spec = replace(spec or FoldSpec(), streaming=True, **fields)
     trace = source if isinstance(source, Trace) else Trace.load(source)
     dirs = spec.directions
-    want_address = dirs is not None and "address" in dirs
-    want_lines = dirs is not None and "lines" in dirs
     key = None
     if cache is not None:
         key = cache.key(trace.digest(), spec)
         hit = _adapt_cache_hit(cache.get(key), dirs)
         if hit is not None:
             return hit
+    acc, addr_stream, line_stream = stream_passes(
+        trace,
+        spec,
+        chunk_rows=chunk_rows,
+        report_every=report_every,
+        on_snapshot=on_snapshot,
+    )
+    result = acc.result(spec.grid_points, spec.bandwidth)
+    if dirs is not None:
+        result = StreamedReport(
+            performance=result,
+            addresses=addr_stream.result() if addr_stream is not None else None,
+            lines=line_stream.result() if line_stream is not None else None,
+            directions=dirs,
+        )
+    if key is not None:
+        cache.put(key, result)
+    return result
+
+
+def stream_passes(
+    trace: Trace,
+    spec: FoldSpec,
+    *,
+    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    report_every: int | None = None,
+    on_snapshot=None,
+) -> tuple[StreamingFold, AddressStream | None, LineStream | None]:
+    """Both passes of the streamed fold *spec* describes, before its fit.
+
+    Returns the finished accumulator, whose :meth:`StreamingFold.result`
+    fits any (``grid_points``, ``bandwidth``) point without reading the
+    trace again, and the address and line streams of the spec's other
+    directions (``None`` where the spec does not ask for one).  The
+    accumulator holds no view of the trace's columns, so it stays valid
+    after the container is closed.  *spec*'s fit point only shapes the
+    *on_snapshot* partial curves; :func:`stream_fold_trace` documents
+    the other arguments.
+    """
+    dirs = spec.directions
+    want_address = dirs is not None and "address" in dirs
+    want_lines = dirs is not None and "lines" in dirs
     instances = instances_from_iterations(trace)
     if spec.prune_tolerance is not None and instances.n >= 3:
         instances = instances.prune_outliers(spec.prune_tolerance)
@@ -560,9 +607,7 @@ def stream_fold_trace(
         SAMPLE_COUNTERS,
         track_address=want_address,
     )
-    acc = StreamingFold(
-        prologue, grid_points=spec.grid_points, bandwidth=spec.bandwidth
-    )
+    acc = StreamingFold(prologue)
     addr_stream = None
     line_stream = None
     extras: tuple[str, ...] = ()
@@ -604,18 +649,8 @@ def stream_fold_trace(
             and acc.n_chunks % report_every == 0
             and acc.n_folded
         ):
-            on_snapshot(acc.snapshot())
-    result = acc.result()
-    if dirs is not None:
-        result = StreamedReport(
-            performance=result,
-            addresses=addr_stream.result() if addr_stream is not None else None,
-            lines=line_stream.result() if line_stream is not None else None,
-            directions=dirs,
-        )
-    if key is not None:
-        cache.put(key, result)
-    return result
+            on_snapshot(acc.snapshot(spec.grid_points, spec.bandwidth))
+    return acc, addr_stream, line_stream
 
 
 def _adapt_cache_hit(hit, dirs) -> StreamedFold | StreamedReport | None:

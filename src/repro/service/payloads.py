@@ -10,7 +10,10 @@ Payloads are **canonical**: dict keys sorted, floats serialized by
 ``repr`` through ``json.dumps`` with no whitespace variance, arrays as
 plain lists.  :func:`payload_digest` hashes that canonical form, and
 the digest rides inside the payload under ``"payload_digest"`` so
-clients can verify what they received.  The payload layout is
+clients can verify what they received.  :func:`sealed_bytes` (and
+:func:`fold_body` for fold payloads) writes the sealed body while
+encoding the payload once: the digest is spliced into its sorted place
+in the encoding it was hashed from.  The payload layout is
 versioned by :data:`PAYLOAD_VERSION`, which is part of every ETag —
 bump it when a field changes shape and cached 304 validators die with
 it.
@@ -28,10 +31,12 @@ __all__ = [
     "address_payload",
     "canonical_bytes",
     "counters_payload",
+    "fold_body",
     "fold_payload",
     "lines_payload",
     "payload_digest",
     "seal",
+    "sealed_bytes",
 ]
 
 #: Version of the payload layout, baked into ETags and response-cache
@@ -68,6 +73,36 @@ def seal(payload: dict) -> dict:
     return payload
 
 
+_DIGEST_KEY = "payload_digest"
+
+
+def sealed_bytes(payload: dict) -> bytes:
+    """``canonical_bytes(seal(payload))``, encoding *payload* once.
+
+    Keys are sorted, so ``"payload_digest"`` has one place among the
+    top-level keys.  The members before and after it are encoded once,
+    hashed together as the canonical form without the digest, and the
+    digest member is spliced in between them.  Members are sliced as
+    views, so the body is copied once more, into the result.
+    """
+    before = memoryview(canonical_bytes(
+        {k: v for k, v in payload.items() if k < _DIGEST_KEY}
+    ))[1:-1]
+    after = memoryview(canonical_bytes(
+        {k: v for k, v in payload.items() if k > _DIGEST_KEY}
+    ))[1:-1]
+    h = hashlib.sha256(b"{")
+    h.update(before)
+    h.update(b"," if before and after else b"")
+    h.update(after)
+    h.update(b"}")
+    stamp = f'"{_DIGEST_KEY}":"{h.hexdigest()}"'.encode()
+    return b"".join([
+        b"{", before, b"," if before else b"", stamp,
+        b"," if after else b"", after, b"}",
+    ])
+
+
 def counters_payload(fold) -> dict:
     """The performance direction of a fold, as JSON-able curves.
 
@@ -80,8 +115,55 @@ def counters_payload(fold) -> dict:
     payload digest is a property of the *content*, not of which fold
     path produced it).
     """
+    return seal(_counters(fold))
+
+
+def address_payload(report, max_points: int = 0) -> dict:
+    """The memory direction: per-object accounting + optional scatter.
+
+    The accounting tables are exact and bounded by the object count;
+    the raw (σ, address) scatter is only included up to *max_points*
+    rows (0 = tables only) so a multi-million-sample fold serves a
+    bounded body.
+    """
+    return seal(_address(report, max_points))
+
+
+def lines_payload(report, max_points: int = 0) -> dict:
+    """The source-code direction: line table + per-line sample counts."""
+    return seal(_lines(report, max_points))
+
+
+def fold_payload(fold, direction: str, max_points: int = 0) -> dict:
+    """The *direction* payload of *fold* (``counters``/``address``/``lines``).
+
+    *max_points* bounds the scatter/track rows of the address and lines
+    payloads; the counters payload ignores it.
+    """
+    return seal(_fields(fold, direction, max_points))
+
+
+def fold_body(fold, direction: str, max_points: int = 0) -> bytes:
+    """``canonical_bytes(fold_payload(...))``, encoding the payload once."""
+    return sealed_bytes(_fields(fold, direction, max_points))
+
+
+# -- unsealed payload fields -------------------------------------------------
+
+
+def _fields(fold, direction: str, max_points: int) -> dict:
+    if direction == "counters":
+        return _counters(fold)
+    if direction == "address":
+        return _address(fold, max_points)
+    if direction == "lines":
+        return _lines(fold, max_points)
+    raise ValueError(f"unknown fold direction {direction!r}")
+
+
+def _counters(fold) -> dict:
     counters = fold.counters
-    payload = {
+    return {
         "version": PAYLOAD_VERSION,
         "direction": "counters",
         "n_instances": int(fold.instances.n),
@@ -95,17 +177,9 @@ def counters_payload(fold) -> dict:
         },
         "counters_digest": counters.digest(),
     }
-    return seal(payload)
 
 
-def address_payload(report, max_points: int = 0) -> dict:
-    """The memory direction: per-object accounting + optional scatter.
-
-    The accounting tables are exact and bounded by the object count;
-    the raw (σ, address) scatter is only included up to *max_points*
-    rows (0 = tables only) so a multi-million-sample fold serves a
-    bounded body.
-    """
+def _address(report, max_points: int) -> dict:
     a = report.addresses
     registry = report.registry
     objects = []
@@ -141,11 +215,10 @@ def address_payload(report, max_points: int = 0) -> dict:
             "op": _ints(a.op[keep]),
             "latency": _floats(a.latency[keep]),
         }
-    return seal(payload)
+    return payload
 
 
-def lines_payload(report, max_points: int = 0) -> dict:
-    """The source-code direction: line table + per-line sample counts."""
+def _lines(report, max_points: int) -> dict:
     li = report.lines
     ids, counts = (
         np.unique(np.asarray(li.line_id), return_counts=True)
@@ -174,19 +247,4 @@ def lines_payload(report, max_points: int = 0) -> dict:
             "sigma": _floats(li.sigma[keep]),
             "line_id": _ints(li.line_id[keep]),
         }
-    return seal(payload)
-
-
-def fold_payload(fold, direction: str, max_points: int = 0) -> dict:
-    """The *direction* payload of *fold* (``counters``/``address``/``lines``).
-
-    *max_points* bounds the scatter/track rows of the address and lines
-    payloads; the counters payload ignores it.
-    """
-    if direction == "counters":
-        return counters_payload(fold)
-    if direction == "address":
-        return address_payload(fold, max_points=max_points)
-    if direction == "lines":
-        return lines_payload(fold, max_points=max_points)
-    raise ValueError(f"unknown fold direction {direction!r}")
+    return payload

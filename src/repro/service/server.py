@@ -39,8 +39,9 @@ Routes (all ``GET``)::
 ``{digest}`` accepts any unambiguous prefix (4-64 hex chars); anything
 else is a 404 before it names a path.  The fold query keys map onto
 one :class:`~repro.folding.spec.FoldSpec`; a parameter the spec
-rejects is a 400.  A request head that is malformed or longer than
-the stream limit (64 KiB) is a 400, and the connection closes.
+rejects is a 400.  A request head that is malformed, longer than the
+stream limit (64 KiB) or cut off by the end of the stream is a 400,
+and the connection closes.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from repro.folding.cache import FoldCache
 from repro.folding.spec import DIRECTIONS, FoldSpec
 from repro.repo import RepoError, TraceRepo
-from repro.service.payloads import PAYLOAD_VERSION, canonical_bytes, seal
+from repro.service.payloads import PAYLOAD_VERSION, canonical_bytes, sealed_bytes
 from repro.service.tables import SharedTraceCache
 from repro.service.work import fold_payload_job
 
@@ -230,7 +231,11 @@ class AnalysisServer:
             while True:
                 try:
                     head = await reader.readuntil(b"\r\n\r\n")
-                except asyncio.IncompleteReadError:
+                except asyncio.IncompleteReadError as exc:
+                    # EOF between requests ends a keep-alive connection;
+                    # EOF inside a head leaves a request unanswered.
+                    if exc.partial:
+                        await self._bad_request(writer, "request head cut off")
                     return
                 except asyncio.LimitOverrunError:
                     await self._bad_request(writer, "request head too large")
@@ -382,7 +387,7 @@ class AnalysisServer:
 
     def _list_traces(self) -> tuple[int, bytes, dict]:
         entries = self.repo.list()
-        payload = seal(
+        body = sealed_bytes(
             {
                 "version": PAYLOAD_VERSION,
                 "n_traces": len(entries),
@@ -391,18 +396,18 @@ class AnalysisServer:
                 ],
             }
         )
-        return 200, canonical_bytes(payload), {}
+        return 200, body, {}
 
     def _trace_meta(self, digest: str) -> tuple[int, bytes, dict]:
         entry = self.repo.entry(digest)
-        payload = seal(
+        body = sealed_bytes(
             {
                 "version": PAYLOAD_VERSION,
                 "digest": digest,
                 "meta": entry.meta,
             }
         )
-        return 200, canonical_bytes(payload), {}
+        return 200, body, {}
 
     def _fold_etag(
         self, digest: str, direction: str, spec: FoldSpec, points: int
@@ -442,7 +447,7 @@ class AnalysisServer:
         table = trace.sample_table()
         op = table.column("op")[sl]
         latency = table.column("latency")[sl]
-        payload = seal(
+        body = sealed_bytes(
             {
                 "version": PAYLOAD_VERSION,
                 "digest": digest,
@@ -455,12 +460,12 @@ class AnalysisServer:
                 "max_latency": float(latency.max()) if n else 0.0,
             }
         )
-        return 200, canonical_bytes(payload), {}
+        return 200, body, {}
 
     def _regions(self, digest: str) -> tuple[int, bytes, dict]:
         _trace, index = self.tables.get(digest, self.repo.path(digest))
         ev = index.events
-        payload = seal(
+        body = sealed_bytes(
             {
                 "version": PAYLOAD_VERSION,
                 "digest": digest,
@@ -474,7 +479,7 @@ class AnalysisServer:
                 "n_iterations": len(ev.iteration_times()),
             }
         )
-        return 200, canonical_bytes(payload), {}
+        return 200, body, {}
 
     def _region_detail(self, digest: str, name: str) -> tuple[int, bytes, dict]:
         _trace, index = self.tables.get(digest, self.repo.path(digest))
@@ -491,7 +496,7 @@ class AnalysisServer:
                     "n_samples": int(sl.stop - sl.start),
                 }
             )
-        payload = seal(
+        body = sealed_bytes(
             {
                 "version": PAYLOAD_VERSION,
                 "digest": digest,
@@ -499,7 +504,7 @@ class AnalysisServer:
                 "intervals": intervals,
             }
         )
-        return 200, canonical_bytes(payload), {}
+        return 200, body, {}
 
     # -- folds (workers + caches + coalescing) -------------------------------
     async def _fold(

@@ -17,7 +17,13 @@ from repro.extrae.trace import _SAMPLE_COLUMNS, SampleTable, Trace
 from repro.extrae.tracer import TracerConfig
 from repro.folding.cache import FoldCache
 from repro.folding.report import FoldedReport, fold_trace
-from repro.folding.stream import StreamedFold, fold_digest, stream_fold_trace
+from repro.folding.spec import FoldSpec
+from repro.folding.stream import (
+    StreamedFold,
+    fold_digest,
+    stream_fold_trace,
+    stream_passes,
+)
 from repro.pipeline import SessionConfig, run_workload
 from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.vmem.callstack import CallStack, Frame
@@ -103,6 +109,19 @@ class TestStreamedEqualsResident:
         streamed = stream_fold_trace(trace, grid_points=51, bandwidth=0.05,
                                      prune_tolerance=None, chunk_rows=640)
         assert_stream_matches_resident(streamed, report)
+
+    @pytest.mark.parametrize("period", [64, 8], ids=["raw", "binned"])
+    def test_finished_accumulator_refits_any_point(self, period):
+        """One pass of the stream serves every fit point, bit for bit."""
+        trace = stream_trace(seed=9, period=period)
+        acc, addresses, lines = stream_passes(trace, FoldSpec(streaming=True))
+        assert (addresses, lines) == (None, None)
+        assert acc.prologue.binned == (period == 8)
+        for grid_points, bandwidth in ((201, 0.015), (51, 0.05), (151, 0.02)):
+            report = fold_trace(trace, grid_points=grid_points, bandwidth=bandwidth)
+            assert_stream_matches_resident(
+                acc.result(grid_points, bandwidth), report
+            )
 
     def test_snapshot_cadence(self, trace):
         seen = []

@@ -16,7 +16,9 @@ import pytest
 
 import repro.service.server as server_module
 from repro.extrae.trace import Trace
+from repro.folding.cache import FoldCache
 from repro.folding.report import fold_trace
+from repro.folding.spec import FoldSpec
 from repro.repo import TraceRepo
 from repro.service import AnalysisServer, ServiceClient, ServiceError
 from repro.service.payloads import (
@@ -138,6 +140,38 @@ class TestBasicEndpoints:
         assert status_line.startswith(b"HTTP/1.1 400 Bad Request\r\n")
         assert json.loads(body) == {"error": "request head too large", "status": 400}
         assert server.counters["errors"] == errors + 1
+        assert client.healthz() == {"ok": True}
+
+    def test_request_head_cut_off_by_eof_is_400(self, served, client):
+        server, _entry = served
+        errors = server.counters["errors"]
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nhost: x")
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after it
+                reply += chunk
+        status_line, body = reply.split(b"\r\n\r\n", 1)
+        assert status_line.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert json.loads(body) == {"error": "request head cut off", "status": 400}
+        assert server.counters["errors"] == errors + 1
+        assert client.healthz() == {"ok": True}
+
+    def test_keep_alive_connection_closed_between_requests_is_quiet(
+        self, served, client
+    ):
+        server, _entry = served
+        errors = server.counters["errors"]
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after it
+                reply += chunk
+        status_line, body = reply.split(b"\r\n\r\n", 1)
+        assert status_line.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert json.loads(body) == {"ok": True}  # and nothing after it
+        assert server.counters["errors"] == errors
         assert client.healthz() == {"ok": True}
 
     def test_traversal_digest_is_404(self, served, client, traced):
@@ -396,3 +430,28 @@ class TestCorruptContainer:
                     p["payload_digest"] for p in want
                 ]
                 assert c.healthz() == {"ok": True}
+
+
+class TestCorruptFoldCacheEntry:
+    def test_garbage_entry_is_refolded_and_rewritten(self, traced, tmp_path):
+        """A stored ``.foldreport`` overwritten with garbage while the
+        server runs: a worker that never held the fold reads it from
+        disk, folds again, answers the cold body and rewrites it."""
+        repo = TraceRepo(tmp_path / "repo")
+        entry = repo.put(traced)
+        report = fold_trace(traced)
+        with serving(AnalysisServer(repo, workers=1)) as server:
+            # another process sharing the directory stored the fold...
+            cache = FoldCache(server.cache_dir)
+            path = cache.put(cache.key(entry.digest, FoldSpec()), report)
+            garbage = b"\x80\x05 not a fold report" * 64
+            path.write_bytes(garbage)  # ...and it went bad on disk
+            with ServiceClient("127.0.0.1", server.port) as c:
+                got = c.fold(entry.digest, "counters")
+                assert server.counters["folds_cold"] == 1
+                assert c.healthz() == {"ok": True}
+        assert got == counters_payload(report)
+        rewritten = path.read_bytes()
+        assert rewritten != garbage
+        fresh = FoldCache(path.parent).get(path.stem)
+        assert counters_payload(fresh) == got

@@ -1,15 +1,19 @@
 """fold_payload_job: the one place the service decides hit or fold."""
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.extrae.trace import Trace
 from repro.folding.cache import FoldCache
+from repro.folding.plan import FoldPlan
 from repro.folding.report import fold_trace
 from repro.folding.spec import DIRECTIONS, FoldSpec
 from repro.folding.stream import StreamedFold
 from repro.repo import TraceRepo
 from repro.service import AnalysisServer, ServiceClient, work
-from repro.service.payloads import canonical_bytes, fold_payload
+from repro.service.payloads import canonical_bytes, fold_payload, seal
 
 from tests.extrae.test_trace_fastpath import run_trace
 from tests.service.test_server import serving
@@ -28,11 +32,18 @@ def stored(traced, tmp_path_factory):
 
 
 @pytest.fixture(autouse=True)
-def fresh_worker_caches():
-    """Each test starts as a new worker: no FoldCache held yet."""
-    work._cache.cache_clear()
+def fresh_worker(monkeypatch):
+    """Each test starts as a new worker: no FoldCache, plan or design held."""
+    _forget(monkeypatch)
     yield
     work._cache.cache_clear()
+
+
+def _forget(monkeypatch):
+    """Drop what this process's worker holds, as a fresh worker has."""
+    work._cache.cache_clear()
+    monkeypatch.setattr(work, "_plan", work._Latest())
+    monkeypatch.setattr(work, "_streamed", work._Latest())
 
 
 def _job(entry, cache_dir, direction, spec=FoldSpec()):
@@ -42,7 +53,8 @@ def _job(entry, cache_dir, direction, spec=FoldSpec()):
 
 
 def _direct(trace, direction, spec=FoldSpec()):
-    return canonical_bytes(fold_payload(fold_trace(trace, spec), direction, POINTS))
+    """The body a cold fold gives: the canonical sealed payload."""
+    return canonical_bytes(seal(fold_payload(fold_trace(trace, spec), direction, POINTS)))
 
 
 @pytest.mark.parametrize(
@@ -68,7 +80,7 @@ def test_body_equals_direct_fold_then_hits(
     monkeypatch.setattr(Trace, "digest", no_hashing)
     assert _job(stored, tmp_path, direction, spec) == (want, True)
     # the disk entry serves a worker that never saw the fold...
-    work._cache.cache_clear()
+    _forget(monkeypatch)
     assert _job(stored, tmp_path, direction, spec) == (want, False)
     # ...and that worker's memo serves it again without the disk
     for entry in tmp_path.iterdir():
@@ -111,3 +123,97 @@ def test_second_server_over_a_warm_cache_folds_nothing(traced, tmp_path):
     for direction, payload in got.items():
         want = fold_payload(report, direction, POINTS)
         assert payload["payload_digest"] == want["payload_digest"]
+
+
+class TestRefit:
+    """A second fit point of a trace refits the worker's kept state."""
+
+    @staticmethod
+    def _count_reads(monkeypatch) -> dict:
+        """Count container opens, plan builds and streamed passes."""
+        counts = {"load": 0, "plan": 0, "pass": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            Trace, "load", staticmethod(counted("load", Trace.load))
+        )
+        monkeypatch.setattr(
+            FoldPlan, "from_trace", staticmethod(counted("plan", FoldPlan.from_trace))
+        )
+        monkeypatch.setattr(
+            Trace, "iter_sample_chunks", counted("pass", Trace.iter_sample_chunks)
+        )
+        return counts
+
+    @pytest.mark.parametrize(
+        "streaming, directions",
+        [(False, ("counters", "address")), (True, ("counters", "counters"))],
+        ids=["resident", "streamed"],
+    )
+    def test_two_fit_points_read_the_trace_once(
+        self, traced, stored, tmp_path, monkeypatch, streaming, directions
+    ):
+        specs = [
+            FoldSpec(bandwidth=0.015, streaming=streaming),
+            FoldSpec(grid_points=151, bandwidth=0.02, streaming=streaming),
+        ]
+        want = [_direct(traced, d, s) for d, s in zip(directions, specs)]
+        reads = self._count_reads(monkeypatch)
+        got = [_job(stored, tmp_path, d, s) for d, s in zip(directions, specs)]
+        assert got == [(body, True) for body in want]
+        # one container open: one plan, or one streamed fold's two passes
+        assert reads == (
+            {"load": 1, "plan": 0, "pass": 2}
+            if streaming
+            else {"load": 1, "plan": 1, "pass": 0}
+        )
+        # the refit stored the entry a cold worker stores, byte for byte
+        refit = FoldCache(tmp_path).key(stored.digest, specs[1])
+        _forget(monkeypatch)
+        cold_dir = tmp_path / "cold"
+        assert _job(stored, cold_dir, directions[1], specs[1]) == (want[1], True)
+        assert (tmp_path / f"{refit}.foldreport").read_bytes() == (
+            cold_dir / f"{refit}.foldreport"
+        ).read_bytes()
+
+    def test_representative_folds_keep_their_path(
+        self, traced, stored, tmp_path, monkeypatch
+    ):
+        reads = self._count_reads(monkeypatch)
+        for bandwidth in (0.015, 0.02):
+            spec = FoldSpec(rep_budget=2, bandwidth=bandwidth)
+            assert _job(stored, tmp_path, "counters", spec)[1] is True
+        assert reads["load"] == 2
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["resident", "streamed"])
+    def test_kept_state_outlives_a_truncated_container(
+        self, traced, tmp_path, streaming
+    ):
+        """Nothing the worker keeps reads through the container's map:
+        truncated in place after the first fit point, the container
+        serves the second from the kept state, and the worker lives."""
+        entry = TraceRepo(tmp_path / "repo").put(traced)
+        first, second = (
+            FoldSpec(bandwidth=bandwidth, streaming=streaming)
+            for bandwidth in (0.015, 0.02)
+        )
+        want = _direct(traced, "counters", second)
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as worker:
+
+            def job(spec):
+                return worker.submit(
+                    work.fold_payload_job, str(entry.path), entry.digest,
+                    "counters", spec, POINTS, str(tmp_path / "cache"),
+                ).result(timeout=120)
+
+            assert job(first)[1] is True
+            with open(entry.path, "r+b") as f:
+                f.truncate(1000)
+            assert job(second) == (want, True)
+            assert job(first)[1] is False  # the same worker, still alive
