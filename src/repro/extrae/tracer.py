@@ -274,6 +274,11 @@ class Tracer:
             for record in scan_static_objects(self.image):
                 self.trace.add_object(record)
         stats = self.interceptor.stats
+        # The allocator holds the interceptor's bound observer and the
+        # interceptor holds the allocator: left attached, that cycle
+        # keeps the finished session (machine, engine, allocator) alive
+        # until the cyclic GC runs.
+        self.interceptor.detach()
         self.trace.metadata.update(
             {
                 "alloc_threshold_bytes": self.config.alloc_threshold_bytes,

@@ -43,6 +43,37 @@ from repro.util.bitops import ceil_div
 __all__ = ["AnalyticEngine", "SegmentLru"]
 
 
+def _sum(values: list[float]) -> float:
+    """``np.sum`` of a float64 array of these values, for short lists.
+
+    NumPy sums an array of fewer than eight elements left to right
+    (its pairwise summation starts at eight), so this loop gives its
+    bits.  Not for Python's ``sum()``: that is compensated on 3.12+.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _choice_cdf(p: list[float]) -> np.ndarray:
+    """The cdf ``Generator.choice(a, size, p=p)`` searches.
+
+    ``choice`` takes the cumulative sum of *p*, divides it by its last
+    element and returns ``a[cdf.searchsorted(random(size),
+    side="right")]``.  This builds the same ``cdf`` from the same float
+    operations, so searching it draws what ``choice`` draws and leaves
+    the generator at the same stream position, without ``choice``'s
+    argument checks and array conversions.
+    """
+    cdf = []
+    acc = 0.0
+    for v in p:
+        acc += v
+        cdf.append(acc)
+    return np.array([c / acc for c in cdf])
+
+
 @dataclass
 class _Segment:
     """One resident byte range with a coverage density in (0, 1].
@@ -75,14 +106,17 @@ class SegmentLru:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._segments: list[_Segment] = []  # kept disjoint, unordered
+        #: disjoint, in stamp (insertion) order: new segments are
+        #: appended and ``_carve`` keeps the order of what it splits
+        self._segments: list[_Segment] = []
         self._clock = 0
         #: dirty bytes removed by LRU eviction since the last
         #: :meth:`take_evicted_dirty_bytes` call
         self._evicted_dirty_bytes = 0.0
 
     def resident_bytes(self) -> float:
-        return sum(s.resident_bytes for s in self._segments)
+        # Python's float sum() is compensated on 3.12+: keep it sum().
+        return sum([(s.hi - s.lo) * s.density for s in self._segments])
 
     def residency(self, lo: int, hi: int) -> float:
         """Fraction of ``[lo, hi)`` currently resident (density-weighted)."""
@@ -178,7 +212,7 @@ class SegmentLru:
         # capacity; the last victim is *trimmed*, not dropped whole, so
         # a small fill only nibbles at a big segment's LRU end instead
         # of invalidating it (LRU is line-granular on real hardware).
-        self._segments.sort(key=lambda s: s.stamp)
+        # The list is already in stamp order, oldest first.
         total = self.resident_bytes()
         i = 0
         while total > self.capacity and i < len(self._segments):
@@ -261,6 +295,13 @@ class AnalyticEngine:
         self._capacities = [lv.size_bytes for lv in self.config.levels]
         self._names = [lv.name for lv in self.config.levels]
         self._residency = [SegmentLru(c) for c in self._capacities]
+        n_levels = len(self._capacities)
+        self._level_sources = [DataSource.L1, DataSource.L2, DataSource.L3][:n_levels]
+        #: source code of each first-touch outcome: the levels, then DRAM
+        self._level_codes = np.array(
+            [int(s) for s in self._level_sources] + [int(DataSource.DRAM)],
+            dtype=np.int64,
+        )
 
     # ------------------------------------------------------------------
     def _repeat_hit_level(self, working_set: int) -> int:
@@ -273,7 +314,7 @@ class AnalyticEngine:
                 return i
         return len(self._capacities)
 
-    def _first_touch_probs(self, loc: Locality) -> np.ndarray:
+    def _first_touch_probs(self, loc: Locality) -> list[float]:
         """``P(first touch served at level i)`` plus DRAM as last entry."""
         r = [
             lru.usable_residency(loc.lo, loc.hi, loc.direction)
@@ -282,19 +323,29 @@ class AnalyticEngine:
         # Enforce inclusive nesting r1 <= r2 <= r3.
         for i in range(1, len(r)):
             r[i] = max(r[i], r[i - 1])
-        probs = np.empty(len(r) + 1, dtype=np.float64)
+        probs = []
         prev = 0.0
-        for i, ri in enumerate(r):
-            probs[i] = max(0.0, ri - prev)
+        for ri in r:
+            probs.append(max(0.0, ri - prev))
             prev = max(prev, ri)
-        probs[-1] = max(0.0, 1.0 - prev)
-        total = probs.sum()
-        return probs / total if total > 0 else probs
+        probs.append(max(0.0, 1.0 - prev))
+        total = _sum(probs)
+        return [p / total for p in probs] if total > 0 else probs
 
     def run_pattern(
         self, pattern: AccessPattern, sample_offsets: np.ndarray | None = None
     ) -> PatternResult:
-        """Cost *pattern* in closed form; classify sampled offsets."""
+        """Cost *pattern* in closed form; classify sampled offsets.
+
+        The costing is scalar: probabilities, counts and shares are
+        Python floats over at most four outcomes (the levels and DRAM),
+        summed left to right as NumPy sums arrays that short, so the
+        result is bit-identical to the array form at a fraction of its
+        call overhead.  NumPy runs only over the samples: the first-touch
+        draw, the LFB draw and the latency jitter.  Each call reads the
+        residency the previous pattern left and draws from the engine's
+        generator, so patterns run one at a time, in order.
+        """
         loc = pattern.locality()
         count = loc.count
         samples = (
@@ -318,18 +369,18 @@ class AnalyticEngine:
         rep_level = self._repeat_hit_level(loc.working_set_bytes)
 
         n_levels = len(self._capacities)
-        ft_counts = ft_probs * first_touch  # float counts per level + DRAM
+        ft_counts = [p * first_touch for p in ft_probs]  # per level + DRAM
         # Repeat accesses all hit at rep_level (or DRAM if beyond).
-        rep_counts = np.zeros(n_levels + 1, dtype=np.float64)
-        rep_counts[min(rep_level, n_levels)] = repeat
+        rep_counts = [0.0] * (n_levels + 1)
+        rep_counts[min(rep_level, n_levels)] = float(repeat)
 
         # Per-level miss counters (line fetches past level i) and DRAM
         # traffic are fixed by the residency model *before* prefetch
         # adjustment: the streamer changes who waits, not what moves.
         level_misses: dict[str, int] = {}
         for i, name in enumerate(self._names):
-            ft_miss = float(ft_counts[i + 1 :].sum())
-            rep_miss = float(rep_counts[i + 1 :].sum())
+            ft_miss = _sum(ft_counts[i + 1 :])
+            rep_miss = _sum(rep_counts[i + 1 :])
             level_misses[name] = int(round(ft_miss + rep_miss))
         dram_lines = int(round(ft_counts[-1] + rep_counts[-1]))
 
@@ -350,8 +401,7 @@ class AnalyticEngine:
             rep_counts[0] -= lfb
 
         source_counts: dict[DataSource, int] = {}
-        level_sources = [DataSource.L1, DataSource.L2, DataSource.L3][:n_levels]
-        for i, src in enumerate(level_sources):
+        for i, src in enumerate(self._level_sources):
             c = int(round(ft_counts[i] + rep_counts[i]))
             if c:
                 source_counts[src] = c
@@ -361,11 +411,20 @@ class AnalyticEngine:
         if lfb >= 0.5:
             source_counts[DataSource.LFB] = int(round(lfb))
 
-        ft_serve = ft_counts / ft_counts.sum() if ft_counts.sum() > 0 else ft_probs
-        sample_sources = self._classify_samples(
-            pattern, loc, samples, ft_serve, rep_level, first_touch, streaming_dram
-        )
-        sample_latencies = self.latency.sample(sample_sources, self._rng)
+        if samples.size:
+            ft_total = _sum(ft_counts)
+            ft_serve = (
+                [c / ft_total for c in ft_counts] if ft_total > 0 else ft_probs
+            )
+            sample_sources = self._classify_samples(
+                pattern, loc, samples, ft_serve, rep_level, first_touch,
+                streaming_dram,
+            )
+            sample_latencies = self.latency.sample(sample_sources, self._rng)
+        else:
+            # Nothing to classify or jitter: no draw from the generator.
+            sample_sources = np.zeros(0, dtype=np.int64)
+            sample_latencies = np.zeros(0, dtype=np.float64)
 
         # Update residency: this pattern's footprint is now (partially)
         # cached at every level, tail-first in sweep direction.  Store
@@ -396,20 +455,13 @@ class AnalyticEngine:
         pattern: AccessPattern,
         loc: Locality,
         samples: np.ndarray,
-        ft_probs: np.ndarray,
+        ft_serve: list[float],
         rep_level: int,
         first_touch: int,
         streaming_dram: bool,
     ) -> np.ndarray:
-        """Data source per sampled access offset."""
-        if samples.size == 0:
-            return np.zeros(0, dtype=np.int64)
+        """Data source per sampled access offset (*samples* is not empty)."""
         n_levels = len(self._capacities)
-        level_codes = np.array(
-            [int(s) for s in (DataSource.L1, DataSource.L2, DataSource.L3)][:n_levels]
-            + [int(DataSource.DRAM)],
-            dtype=np.int64,
-        )
         # Is each sample a first touch?
         if loc.kind == "seq" and pattern.elem_size < self.line_size:
             addrs = pattern.addresses_at(samples)
@@ -423,14 +475,15 @@ class AnalyticEngine:
             is_first = self._rng.random(samples.size) < p_first
 
         out = np.empty(samples.size, dtype=np.int64)
-        n_first = int(is_first.sum())
+        n_first = int(np.count_nonzero(is_first))
         if n_first:
-            out[is_first] = self._rng.choice(
-                level_codes, size=n_first, p=ft_probs / ft_probs.sum()
-            )
+            total = _sum(ft_serve)
+            cdf = _choice_cdf([v / total for v in ft_serve])
+            draws = cdf.searchsorted(self._rng.random(n_first), side="right")
+            out[is_first] = self._level_codes[draws]
         n_rep = samples.size - n_first
         if n_rep:
-            rep_src = level_codes[min(rep_level, n_levels)]
+            rep_src = self._level_codes[min(rep_level, n_levels)]
             rep = np.full(n_rep, rep_src, dtype=np.int64)
             # A share of line-local repeats shows up as LFB hits.
             if streaming_dram and rep_level == 0 and self.lfb_fraction > 0:

@@ -96,6 +96,14 @@ class LatencyModel:
     )
     jitter: float = 0.10
 
+    def __post_init__(self) -> None:
+        # The source -> cycles lookup table, built once: ``sample`` runs
+        # for every sampled pattern.  ``cycles`` is read here only.
+        table = np.zeros(max(int(s) for s in DataSource) + 1, dtype=np.float64)
+        for s, c in self.cycles.items():
+            table[int(s)] = c
+        object.__setattr__(self, "_table", table)
+
     def latency(self, source: DataSource) -> float:
         """Mean cost in cycles for *source*."""
         return self.cycles[source]
@@ -112,14 +120,13 @@ class LatencyModel:
         rng:
             If given, apply multiplicative truncated-normal jitter.
         """
-        src = np.asarray(sources, dtype=np.int64)
-        table = np.zeros(max(int(s) for s in DataSource) + 1, dtype=np.float64)
-        for s, c in self.cycles.items():
-            table[int(s)] = c
-        lat = table[src]
+        lat = self._table[np.asarray(sources, dtype=np.int64)]
         if rng is not None and self.jitter > 0:
             noise = rng.normal(1.0, self.jitter, size=lat.shape)
             # Truncate so costs never drop below half the mean: hardware
-            # latencies have a hard floor (pipeline depth).
-            lat = lat * np.clip(noise, 0.5, 2.0)
+            # latencies have a hard floor (pipeline depth).  The values
+            # of np.clip(noise, 0.5, 2.0), at half its call overhead.
+            np.maximum(noise, 0.5, out=noise)
+            np.minimum(noise, 2.0, out=noise)
+            lat = lat * noise
         return lat

@@ -30,6 +30,7 @@ PEBS latency threshold filters cheap loads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -116,6 +117,13 @@ class BatchExecution:
         return (self.batch.instructions / dur_s) / 1e6 if dur_s > 0 else 0.0
 
 
+def _per_kind(kinds: list[list], mask_of, values: np.ndarray) -> np.ndarray:
+    """``mask_of(op, values[first:end])`` for each kind's slice, joined."""
+    if len(kinds) == 1:
+        return mask_of(kinds[0][0], values)
+    return np.concatenate([mask_of(op, values[a:b]) for op, a, b in kinds])
+
+
 class Machine:
     """One simulated core.
 
@@ -176,11 +184,25 @@ class Machine:
         return self.calibration.cycles_to_ns(self.counters.cycles)
 
     def execute(self, batch: KernelBatch) -> BatchExecution:
-        """Run *batch* to completion; returns its execution record."""
+        """Run *batch* to completion; returns its execution record.
+
+        Per pattern, in order: the sampler's :meth:`~Sampler.take` and
+        the engine's ``run_pattern``.  Both advance state the next
+        pattern reads (the countdowns, the residency model, the
+        generators), so they cannot be batched without changing every
+        trace.  Once per batch: the sample assembly.  The sampled
+        patterns' offsets, sources and latencies are concatenated per
+        operation kind, and the fractions, timestamps, multiplex and
+        latency keep-masks and the interpolated counters are computed
+        over each concatenation, then split back into one
+        :class:`SampleBlock` per pattern with survivors, in pattern
+        order.  All of it is elementwise, so the blocks are
+        bit-identical to assembling each pattern on its own.
+        """
         before = self.counters.copy()
         latency = self.engine.config.latency
 
-        pattern_runs: list[tuple] = []
+        sampled: list[tuple] = []
         totals = {"L1D": 0, "L2": 0, "L3": 0}
         dram_lines = 0
         writebacks = 0
@@ -192,7 +214,8 @@ class Machine:
                 else np.empty(0, dtype=np.int64)
             )
             result: PatternResult = self.engine.run_pattern(pattern, offsets)
-            pattern_runs.append((pattern, offsets, result))
+            if offsets.size:
+                sampled.append((pattern, offsets, result))
             for name in totals:
                 totals[name] += result.level_misses.get(name, 0)
             dram_lines += result.dram_lines
@@ -229,7 +252,6 @@ class Machine:
         c.flops += batch.flops
         t1 = self.time_ns
         after = c.copy()
-        delta = after.delta(before)
 
         execution = BatchExecution(
             batch=batch,
@@ -241,78 +263,8 @@ class Machine:
             before=before,
             after=after,
         )
-
-        # --- build, filter and attach sample blocks ----------------------
-        # Keep-masks are fused *before* any per-sample payload is built:
-        # addresses and interpolated counters are only computed for the
-        # samples that survive multiplexing and the latency threshold.
-        # Bit-identical to filtering afterwards — addresses_at and the
-        # counter interpolation are elementwise.
-        before_vec = np.array(
-            [getattr(before, name) for name in SAMPLE_COUNTERS], dtype=np.float64
-        )
-        delta_vec = np.array(
-            [getattr(delta, name) for name in SAMPLE_COUNTERS], dtype=np.float64
-        )
-        span = t1 - t0
-        for pattern, offsets, result in pattern_runs:
-            if offsets.size == 0:
-                continue
-            frac = (offsets.astype(np.float64) + 0.5) / max(pattern.count, 1)
-            times = t0 + frac * span
-            sources = result.sample_sources
-            latencies = result.sample_latencies
-            addresses = None
-            if self.sampler is not None and self.sampler.post_classifies:
-                # Backends that rewrite samples (SPE's remote-access
-                # classification) need addresses before filtering; the
-                # default path computes them only for survivors.
-                addresses = pattern.addresses_at(offsets)
-                sources, latencies = self.sampler.classify(
-                    pattern.op, addresses, sources, latencies
-                )
-            keep = None
-            if self.multiplex is not None:
-                active = self.multiplex.active_mask(pattern.op, times)
-                self.samples_dropped_mpx += int(
-                    active.size - np.count_nonzero(active)
-                )
-                keep = active
-            if self.sampler is not None:
-                passed = self.sampler.latency_filter(pattern.op, latencies)
-                dropped = ~passed if keep is None else keep & ~passed
-                self.samples_dropped_latency += int(np.count_nonzero(dropped))
-                keep = passed if keep is None else keep & passed
-            if keep is not None and not keep.all():
-                offsets = offsets[keep]
-                if offsets.size == 0:
-                    continue
-                frac = frac[keep]
-                times = times[keep]
-                sources = sources[keep]
-                latencies = latencies[keep]
-                if addresses is not None:
-                    addresses = addresses[keep]
-            # All nine counters interpolate in one 2-D broadcast; each
-            # row of the C-ordered result is one counter's column.
-            interp = before_vec[:, None] + delta_vec[:, None] * frac[None, :]
-            counters = {name: interp[i] for i, name in enumerate(SAMPLE_COUNTERS)}
-            block = SampleBlock(
-                op=pattern.op,
-                label=batch.label,
-                offsets=offsets,
-                addresses=(
-                    addresses
-                    if addresses is not None
-                    else pattern.addresses_at(offsets)
-                ),
-                sources=sources,
-                latencies=latencies,
-                times_ns=times,
-                counters=counters,
-            )
-            execution.samples.append(block)
-            self.samples_emitted += block.n
+        if sampled:
+            execution.samples = self._assemble(batch.label, sampled, execution)
 
         if self.noise is not None:
             stall = self.noise.stall_after(execution.duration_ns, self._noise_rng)
@@ -322,6 +274,113 @@ class Machine:
 
         self.batches_executed += 1
         return execution
+
+    def _assemble(
+        self, label: str, sampled: list[tuple], execution: BatchExecution
+    ) -> list[SampleBlock]:
+        """The sample blocks of one batch, assembled in one pass.
+
+        *sampled* holds ``(pattern, offsets, result)`` for every pattern
+        the sampler drew from, in execution order.  Their samples are
+        concatenated with each operation kind's patterns adjacent, so
+        the per-kind hooks (classification, multiplex window, latency
+        filter) each see one slice.  Keep-masks are fused *before* any
+        per-sample payload is built: addresses and counters are only
+        computed for samples that survive multiplexing and the latency
+        threshold (bit-identical to filtering afterwards, as
+        ``addresses_at`` and the interpolation are elementwise).
+        """
+        sampler = self.sampler
+        order = sorted(range(len(sampled)), key=lambda k: sampled[k][0].op)
+        runs = [sampled[k] for k in order]
+        sizes = [offsets.size for _, offsets, _ in runs]
+        # (op, first, end) of each kind's contiguous samples
+        kinds: list[list] = []
+        end = 0
+        for (pattern, _, _), n in zip(runs, sizes):
+            if kinds and kinds[-1][0] == pattern.op:
+                kinds[-1][2] += n
+            else:
+                kinds.append([pattern.op, end, end + n])
+            end += n
+
+        offsets = np.concatenate([offsets for _, offsets, _ in runs])
+        counts = np.array([max(p.count, 1) for p, _, _ in runs], dtype=np.float64)
+        frac = (offsets.astype(np.float64) + 0.5) / np.repeat(counts, sizes)
+        t0 = execution.t0_ns
+        times = t0 + frac * (execution.t1_ns - t0)
+        sources = np.concatenate([r.sample_sources for _, _, r in runs])
+        latencies = np.concatenate([r.sample_latencies for _, _, r in runs])
+        addresses = None
+        if sampler.post_classifies:
+            # Backends that rewrite samples (SPE's remote-access
+            # classification) need addresses before filtering; the
+            # default path computes them only for survivors.
+            addresses = np.concatenate([p.addresses_at(o) for p, o, _ in runs])
+            rewritten = [
+                sampler.classify(op, addresses[a:b], sources[a:b], latencies[a:b])
+                for op, a, b in kinds
+            ]
+            sources = np.concatenate([src for src, _ in rewritten])
+            latencies = np.concatenate([lat for _, lat in rewritten])
+
+        keep = _per_kind(kinds, sampler.latency_filter, latencies)
+        dropped = keep.size - np.count_nonzero(keep)
+        if self.multiplex is not None:
+            active = _per_kind(kinds, self.multiplex.active_mask, times)
+            n_active = np.count_nonzero(active)
+            self.samples_dropped_mpx += int(active.size - n_active)
+            keep = keep & active
+            dropped = n_active - np.count_nonzero(keep)
+        self.samples_dropped_latency += int(dropped)
+
+        ends = list(accumulate(sizes))
+        if not keep.all():
+            ends = np.cumsum(keep)[np.array(ends) - 1].tolist()
+            offsets = offsets[keep]
+            frac = frac[keep]
+            times = times[keep]
+            sources = sources[keep]
+            latencies = latencies[keep]
+            if addresses is not None:
+                addresses = addresses[keep]
+        before, after = execution.before, execution.after
+        before_vec = np.array(
+            [getattr(before, name) for name in SAMPLE_COUNTERS], dtype=np.float64
+        )
+        delta_vec = np.array(
+            [getattr(after, name) - getattr(before, name) for name in SAMPLE_COUNTERS],
+            dtype=np.float64,
+        )
+        # All nine counters interpolate in one 2-D broadcast; each row
+        # of the C-ordered result is one counter's column.
+        interp = before_vec[:, None] + delta_vec[:, None] * frac[None, :]
+
+        blocks: list[SampleBlock | None] = [None] * len(sampled)
+        lo = 0
+        for k, (pattern, _, _), hi in zip(order, runs, ends):
+            if hi == lo:
+                continue
+            block_offsets = offsets[lo:hi]
+            blocks[k] = SampleBlock(
+                op=pattern.op,
+                label=label,
+                offsets=block_offsets,
+                addresses=(
+                    addresses[lo:hi]
+                    if addresses is not None
+                    else pattern.addresses_at(block_offsets)
+                ),
+                sources=sources[lo:hi],
+                latencies=latencies[lo:hi],
+                times_ns=times[lo:hi],
+                counters={
+                    name: interp[i, lo:hi] for i, name in enumerate(SAMPLE_COUNTERS)
+                },
+            )
+            self.samples_emitted += hi - lo
+            lo = hi
+        return [block for block in blocks if block is not None]
 
     def run(self, batches) -> list[BatchExecution]:
         """Execute a sequence of batches, in order."""

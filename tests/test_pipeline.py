@@ -80,6 +80,27 @@ class TestSession:
             if enabled:
                 gc.enable()
 
+    def test_finished_session_freed_without_gc(self):
+        """Once the caller keeps only the trace, the session's simulator
+        state (machine, engine, allocator) goes with its last reference:
+        finalizing detaches the allocation interceptor from the
+        allocator, which would otherwise hold it in a cycle."""
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            session = Session(SessionConfig())
+            machine = weakref.ref(session.machine)
+            allocator = weakref.ref(session.allocator)
+            trace = session.run(StreamWorkload(StreamConfig(n=1 << 12, iterations=2)))
+            del session
+            assert machine() is None
+            assert allocator() is None
+            assert trace.n_samples > 0
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestAnalyzeHpcg:
     def test_end_to_end(self):
