@@ -48,7 +48,8 @@ def _sum(values: list[float]) -> float:
 
     NumPy sums an array of fewer than eight elements left to right
     (its pairwise summation starts at eight), so this loop gives its
-    bits.  Not for Python's ``sum()``: that is compensated on 3.12+.
+    bits.  It does not stand in for Python's ``sum()``, which is
+    compensated on 3.12+ (``SegmentLru.resident_bytes`` keeps it).
     """
     total = 0.0
     for v in values:

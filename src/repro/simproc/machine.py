@@ -190,14 +190,9 @@ class Machine:
         the engine's ``run_pattern``.  Both advance state the next
         pattern reads (the countdowns, the residency model, the
         generators), so they cannot be batched without changing every
-        trace.  Once per batch: the sample assembly.  The sampled
-        patterns' offsets, sources and latencies are concatenated per
-        operation kind, and the fractions, timestamps, multiplex and
-        latency keep-masks and the interpolated counters are computed
-        over each concatenation, then split back into one
-        :class:`SampleBlock` per pattern with survivors, in pattern
-        order.  All of it is elementwise, so the blocks are
-        bit-identical to assembling each pattern on its own.
+        trace.  Once per batch: the sample assembly
+        (:meth:`_assemble`), which yields one :class:`SampleBlock` per
+        pattern with surviving samples, in pattern order.
         """
         before = self.counters.copy()
         latency = self.engine.config.latency
@@ -281,14 +276,17 @@ class Machine:
         """The sample blocks of one batch, assembled in one pass.
 
         *sampled* holds ``(pattern, offsets, result)`` for every pattern
-        the sampler drew from, in execution order.  Their samples are
-        concatenated with each operation kind's patterns adjacent, so
-        the per-kind hooks (classification, multiplex window, latency
-        filter) each see one slice.  Keep-masks are fused *before* any
-        per-sample payload is built: addresses and counters are only
-        computed for samples that survive multiplexing and the latency
-        threshold (bit-identical to filtering afterwards, as
-        ``addresses_at`` and the interpolation are elementwise).
+        the sampler drew from, in execution order.  Their offsets,
+        sources and latencies are concatenated, each operation kind's
+        patterns adjacent so the per-kind hooks (classification,
+        multiplex window, latency filter) each see one slice.  The
+        fractions, timestamps, keep-masks and the nine interpolated
+        counters are computed once over the concatenation, then split
+        back per pattern.  Everything here is elementwise, so the blocks
+        are bit-identical to assembling each pattern on its own.
+        Keep-masks are fused *before* any per-sample payload is built:
+        addresses and counters are only computed for samples that
+        survive multiplexing and the latency threshold.
         """
         sampler = self.sampler
         order = sorted(range(len(sampled)), key=lambda k: sampled[k][0].op)

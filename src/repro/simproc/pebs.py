@@ -106,38 +106,45 @@ class PebsSampler(Sampler):
             return np.empty(0, dtype=np.int64)
         # Vectorized emission, bit-identical to the scalar loop
         #   while pos < n_ops: emit(int(pos)); pos += gap()
-        # Each round draws a *conservative* count of gaps — small enough
-        # that every resulting position is guaranteed below n_ops, so the
-        # scalar loop would have drawn exactly the same gaps from the
-        # stream (array uniform(lo, hi, k) consumes the stream like k
-        # scalar draws).  cumsum with the current position prepended
-        # reproduces the sequential float accumulation exactly; a scalar
-        # tail handles the last few positions near the boundary.
+        # Each round places a *conservative* count of samples — small
+        # enough that every resulting position is guaranteed below n_ops,
+        # so the scalar loop would have drawn exactly the same gaps from
+        # the stream (array uniform(lo, hi, k) consumes the stream like k
+        # scalar draws).  The round's last gap, past its last sample, is
+        # one the scalar loop draws too, so it comes in the same call.
+        # cumsum with the current position prepended reproduces the
+        # sequential float accumulation exactly; a scalar tail handles
+        # the last few positions near the boundary (once there, every
+        # later round is scalar too: pos only grows).
         lo = cfg.period * (1.0 - cfg.randomization)
         hi = cfg.period * (1.0 + cfg.randomization)
         parts: list[np.ndarray] = []
-        n_taken = 0
+        tail: list[int] = []
         pos = float(self._countdown[op])
         while pos < n_ops:
             est = int((n_ops - pos) / hi) - 1
             if est <= 0:
-                parts.append(np.array([int(pos)], dtype=np.int64))
-                n_taken += 1
+                tail.append(int(pos))
                 pos += self._gap(cfg)
                 continue
             if cfg.randomization == 0.0:
-                gaps = np.full(est, float(cfg.period))
+                gaps = np.full(est + 1, float(cfg.period))
             else:
-                gaps = self._rng.uniform(lo, hi, size=est)
-            positions = np.cumsum(np.concatenate(([pos], gaps)))
+                gaps = self._rng.uniform(lo, hi, size=est + 1)
+            positions = np.empty(est + 1)
+            positions[0] = pos
+            positions[1:] = gaps[:est]
+            np.cumsum(positions, out=positions)
             parts.append(positions.astype(np.int64))
-            n_taken += positions.size
-            pos = float(positions[-1]) + self._gap(cfg)
+            pos = float(positions[-1]) + float(gaps[est])
+        if tail:
+            parts.append(np.array(tail, dtype=np.int64))
         self._countdown[op] = pos - n_ops
-        self.samples_taken[op] += n_taken
         if not parts:
             return np.empty(0, dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        offsets = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        self.samples_taken[op] += offsets.size
+        return offsets
 
     def latency_filter(self, op: MemOp, latencies: np.ndarray) -> np.ndarray:
         """Boolean mask of samples passing *op*'s latency threshold."""

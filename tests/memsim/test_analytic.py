@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.memsim.analytic import AnalyticEngine, SegmentLru
+from repro.memsim.analytic import AnalyticEngine, SegmentLru, _choice_cdf, _sum
 from repro.memsim.cache import CacheConfig
 from repro.memsim.datasource import DataSource
 from repro.memsim.hierarchy import HierarchyConfig
@@ -257,3 +257,38 @@ class TestEngineAgreement:
                 rp.level_misses[lvl], rel=0.05, abs=8
             )
         assert ra.dram_lines == pytest.approx(rp.dram_lines, rel=0.05, abs=8)
+
+
+class TestScalarCosting:
+    """The scalar helpers give the bits of the NumPy calls they replace."""
+
+    def test_sum_is_numpy_sum_of_short_arrays(self):
+        rng = np.random.default_rng(0)
+        scales = np.array([1e16, 1.0, 1e-3, 2.0**53, 0.1, 7.0])
+        for _ in range(2000):
+            n = int(rng.integers(0, 8))
+            values = (rng.choice(scales, n) * rng.random(n)).tolist()
+            assert _sum(values) == float(np.array(values, dtype=np.float64).sum())
+
+    def test_sum_is_not_compensated(self):
+        # Left to right, like NumPy: 1e16 + 1.0 rounds the 1.0 away.
+        assert _sum([1e16, 1.0, -1e16, 1.0]) == 1.0
+
+    def test_cdf_search_is_generator_choice(self):
+        """Same draws and same stream position as ``Generator.choice``,
+        over 300 seeds and probability vectors with zero entries."""
+        for seed in range(300):
+            shape = np.random.default_rng(10_000 + seed)
+            k = int(shape.integers(2, 5))
+            serve = shape.random(k) * (shape.random(k) > 0.3)
+            serve[int(shape.integers(k))] += 0.1
+            total = _sum(serve.tolist())
+            p = [v / total for v in serve.tolist()]
+            codes = np.arange(1, k + 1, dtype=np.int64)
+            n = int(shape.integers(1, 80))
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = a.choice(codes, size=n, p=np.array(p))
+            got = codes[_choice_cdf(p).searchsorted(b.random(n), side="right")]
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+            assert a.random() == b.random(), seed
