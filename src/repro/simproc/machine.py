@@ -259,7 +259,7 @@ class Machine:
             after=after,
         )
         if sampled:
-            execution.samples = self._assemble(batch.label, sampled, execution)
+            execution.samples = self._assemble(sampled, execution)
 
         if self.noise is not None:
             stall = self.noise.stall_after(execution.duration_ns, self._noise_rng)
@@ -271,7 +271,7 @@ class Machine:
         return execution
 
     def _assemble(
-        self, label: str, sampled: list[tuple], execution: BatchExecution
+        self, sampled: list[tuple], execution: BatchExecution
     ) -> list[SampleBlock]:
         """The sample blocks of one batch, assembled in one pass.
 
@@ -362,7 +362,7 @@ class Machine:
             block_offsets = offsets[lo:hi]
             blocks[k] = SampleBlock(
                 op=pattern.op,
-                label=label,
+                label=execution.batch.label,
                 offsets=block_offsets,
                 addresses=(
                     addresses[lo:hi]

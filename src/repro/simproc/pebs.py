@@ -131,10 +131,7 @@ class PebsSampler(Sampler):
                 gaps = np.full(est + 1, float(cfg.period))
             else:
                 gaps = self._rng.uniform(lo, hi, size=est + 1)
-            positions = np.empty(est + 1)
-            positions[0] = pos
-            positions[1:] = gaps[:est]
-            np.cumsum(positions, out=positions)
+            positions = np.cumsum(np.concatenate(([pos], gaps[:est])))
             parts.append(positions.astype(np.int64))
             pos = float(positions[-1]) + float(gaps[est])
         if tail:
