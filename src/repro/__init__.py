@@ -30,9 +30,20 @@ Quickstart::
     print(figure1.render())
 """
 
-from repro.pipeline import Session, SessionConfig, analyze_hpcg, run_workload
+import importlib
 
 __version__ = "1.0.0"
+
+#: Re-exported name -> defining module, imported on first access (PEP
+#: 562), so that importing a reading-side module (``repro.cli``,
+#: ``repro.service``, ``repro.folding``) never loads the simulator
+#: behind :mod:`repro.pipeline`.
+_EXPORTS = {
+    "Session": "repro.pipeline",
+    "SessionConfig": "repro.pipeline",
+    "analyze_hpcg": "repro.pipeline",
+    "run_workload": "repro.pipeline",
+}
 
 __all__ = [
     "Session",
@@ -41,3 +52,15 @@ __all__ = [
     "analyze_hpcg",
     "run_workload",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -18,9 +18,8 @@ from repro.analysis.phases import IterationPhases, segment_iteration
 from repro.analysis.sweeps import Sweep, detect_sweeps
 from repro.folding.address import AddressBand
 from repro.folding.report import FoldedReport
-from repro.simproc.calibration import PAPER_TARGETS
+from repro.paper import MAP_GROUP_NAME, MATRIX_GROUP_NAME, PAPER_TARGETS
 from repro.util.tables import format_table
-from repro.workloads.hpcg.problem import MAP_GROUP_NAME, MATRIX_GROUP_NAME
 
 __all__ = ["Figure1", "build_figure1"]
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.extrae.memalloc import ObjectRecord
+from repro.extrae.schema import MemOp
 from repro.folding.report import FoldedReport
-from repro.memsim.patterns import MemOp
 from repro.util.tables import format_table
 
 __all__ = ["HybridMemoryModel", "PlacementAdvice", "PlacementPlan", "advise_placement"]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.extrae.index import group_rows
+from repro.extrae.schema import DataSource
 from repro.extrae.trace import SampleTable, Trace
-from repro.memsim.datasource import DataSource
 from repro.objects.registry import DataObjectRegistry
 from repro.util.tables import format_table
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.sweeps import detect_sweeps, split_address_bands
+from repro.extrae.schema import MemOp
 from repro.extrae.trace import Trace
 from repro.folding.address import fold_addresses
 from repro.folding.detect import instances_from_regions
 from repro.folding.fold import fold_samples
 from repro.folding.model import fold_counters
-from repro.memsim.patterns import MemOp
 from repro.objects.registry import DataObjectRegistry
 from repro.util.tables import format_table
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.phases import IterationPhases
+from repro.extrae.schema import DataSource, MemOp
 from repro.folding.report import FoldedReport
 from repro.extrae.memalloc import ObjectRecord
-from repro.memsim.datasource import DataSource
-from repro.memsim.patterns import MemOp
 from repro.util.tables import format_table
 
 __all__ = ["DataStream", "StreamReport", "identify_streams"]

@@ -21,33 +21,18 @@ Three tools mirroring the BSC workflow (monitor → fold → explore):
 
 All commands are also reachable as
 ``python -m repro.cli <run|fold|report|validate|cache|trace|repo|serve>``.
+
+Each command imports the layers it uses when it runs, so importing this
+module loads only :mod:`argparse`.  Only ``run`` and ``validate`` (its
+source-legality check reads the hierarchy configuration) import the
+simulator; ``fold``, ``report``, ``trace``, ``repo``, ``cache`` and
+``serve`` read traces without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-from repro.analysis.figures import build_figure1
-from repro.extrae.storage import TRACE_COMPRESSIONS
-from repro.extrae.trace import TRACE_SCHEMA_VERSIONS, Trace
-from repro.extrae.tracer import TracerConfig
-from repro.folding.report import fold_trace
-from repro.folding.spec import FoldSpec
-from repro.memsim.engines import ENGINE_NAMES
-from repro.objects.resolver import resolve_trace
-from repro.pipeline import SessionConfig, run_workload
-from repro.simproc.sampler import SAMPLER_NAMES
-from repro.workloads import (
-    HpcgConfig,
-    HpcgWorkload,
-    RandomAccessWorkload,
-    StencilWorkload,
-    StreamWorkload,
-)
-from repro.workloads.randomaccess import RandomAccessConfig
-from repro.workloads.stencil import StencilConfig
-from repro.workloads.stream import StreamConfig
 
 __all__ = [
     "main",
@@ -66,6 +51,17 @@ def _make_workload(
     workload: str, nx: int, nlevels: int, iterations: int,
     rank: int | None = None, npz: int | None = None,
 ):
+    from repro.workloads import (
+        HpcgConfig,
+        HpcgWorkload,
+        RandomAccessWorkload,
+        StencilWorkload,
+        StreamWorkload,
+    )
+    from repro.workloads.randomaccess import RandomAccessConfig
+    from repro.workloads.stencil import StencilConfig
+    from repro.workloads.stream import StreamConfig
+
     if workload == "hpcg":
         extra = {}
         if rank is not None:
@@ -120,6 +116,13 @@ class _RankFactory:
 
 def main_run(argv: list[str] | None = None) -> int:
     """``bsc-memtools-run``: trace a workload."""
+    from repro.extrae.storage import TRACE_COMPRESSIONS
+    from repro.extrae.trace import TRACE_SCHEMA_VERSIONS
+    from repro.extrae.tracer import TracerConfig
+    from repro.memsim.engines import ENGINE_NAMES
+    from repro.pipeline import SessionConfig, run_workload
+    from repro.simproc.sampler import SAMPLER_NAMES
+
     p = argparse.ArgumentParser(
         prog="bsc-memtools-run", description="Run a workload under the tracer."
     )
@@ -243,6 +246,10 @@ def _run_rank_set(args, config) -> int:
 
 def main_fold(argv: list[str] | None = None) -> int:
     """``bsc-memtools-fold``: fold a trace and export panel data."""
+    from repro.extrae.trace import Trace
+    from repro.folding.report import fold_trace
+    from repro.folding.spec import FoldSpec
+
     p = argparse.ArgumentParser(
         prog="bsc-memtools-fold", description="Fold a trace into the 3-panel report."
     )
@@ -350,6 +357,11 @@ def main_fold(argv: list[str] | None = None) -> int:
 
 def main_report(argv: list[str] | None = None) -> int:
     """``bsc-memtools-report``: objects + (for HPCG) Figure-1 tables."""
+    from repro.analysis.figures import build_figure1
+    from repro.extrae.trace import Trace
+    from repro.folding.report import fold_trace
+    from repro.objects.resolver import resolve_trace
+
     p = argparse.ArgumentParser(
         prog="bsc-memtools-report", description="Analyse a folded trace."
     )
@@ -437,6 +449,7 @@ def main_validate(argv: list[str] | None = None) -> int:
                         "(cheaper on huge traces)")
     args = p.parse_args(argv)
 
+    from repro.extrae.trace import Trace
     from repro.validate.invariants import validate_trace
 
     trace = Trace.load(args.trace)
@@ -552,6 +565,9 @@ def _trace_info(path: str) -> None:
 
 def main_trace(argv: list[str] | None = None) -> int:
     """``bsc-memtools-trace``: inspect/convert trace containers."""
+    from repro.extrae.storage import TRACE_COMPRESSIONS
+    from repro.extrae.trace import TRACE_SCHEMA_VERSIONS, Trace
+
     p = argparse.ArgumentParser(
         prog="bsc-memtools-trace",
         description="Inspect a trace container or convert it between "

@@ -22,24 +22,35 @@ Load and store sampling can be multiplexed in time
 ASLR layout — captures both.
 """
 
-from repro.extrae.events import EventKind, TraceEvent
-from repro.extrae.memalloc import AllocationInterceptor, ObjectRecord
-from repro.extrae.overhead import OverheadModel, estimate_overhead
-from repro.extrae.paraver import export_paraver
-from repro.extrae.staticobj import scan_static_objects
-from repro.extrae.trace import Trace
-from repro.extrae.tracer import Tracer, TracerConfig
+import importlib
 
-__all__ = [
-    "AllocationInterceptor",
-    "EventKind",
-    "ObjectRecord",
-    "OverheadModel",
-    "Trace",
-    "TraceEvent",
-    "Tracer",
-    "TracerConfig",
-    "estimate_overhead",
-    "export_paraver",
-    "scan_static_objects",
-]
+#: Re-exported name -> defining module, imported on first access (PEP
+#: 562): a reader that imports :mod:`repro.extrae.trace` loads neither
+#: the tracer nor the simulator it drives.
+_EXPORTS = {
+    "AllocationInterceptor": "repro.extrae.memalloc",
+    "EventKind": "repro.extrae.events",
+    "ObjectRecord": "repro.extrae.memalloc",
+    "OverheadModel": "repro.extrae.overhead",
+    "Trace": "repro.extrae.trace",
+    "TraceEvent": "repro.extrae.events",
+    "Tracer": "repro.extrae.tracer",
+    "TracerConfig": "repro.extrae.tracer",
+    "estimate_overhead": "repro.extrae.overhead",
+    "export_paraver": "repro.extrae.paraver",
+    "scan_static_objects": "repro.extrae.staticobj",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

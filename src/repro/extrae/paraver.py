@@ -19,8 +19,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.extrae.events import EventKind
+from repro.extrae.schema import DataSource
 from repro.extrae.trace import Trace
-from repro.memsim.datasource import DataSource
 
 __all__ = ["export_paraver"]
 

@@ -48,6 +48,7 @@ import numpy as np
 from repro.extrae.events import EventKind, TraceEvent
 from repro.extrae.index import TraceIndex
 from repro.extrae.memalloc import ObjectRecord
+from repro.extrae.schema import SAMPLE_COUNTERS, SampleBlock
 from repro.extrae.storage import (
     SIDECAR_MEMBER,
     TRACE_COMPRESSIONS,
@@ -55,7 +56,6 @@ from repro.extrae.storage import (
     iter_chunks,
     write_columns,
 )
-from repro.simproc.machine import SAMPLE_COUNTERS, SampleBlock
 from repro.vmem.callstack import CallStack, Frame
 
 __all__ = [

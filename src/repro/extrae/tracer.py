@@ -27,9 +27,9 @@ from functools import partial
 
 from repro.extrae.events import EventKind, TraceEvent
 from repro.extrae.memalloc import AllocationInterceptor
+from repro.extrae.schema import MemOp
 from repro.extrae.staticobj import scan_static_objects
 from repro.extrae.trace import Trace
-from repro.memsim.patterns import MemOp
 from repro.simproc.isa import KernelBatch
 from repro.simproc.machine import BatchExecution, Machine
 from repro.simproc.multiplex import MultiplexSchedule

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.extrae.schema import MemOp
 from repro.folding.fold import FoldedSamples
-from repro.memsim.patterns import MemOp
 from repro.objects.registry import DataObjectRegistry
 
 __all__ = ["AddressBand", "FoldedAddresses", "fold_addresses"]

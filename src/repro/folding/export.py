@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.memsim.datasource import DataSource
+from repro.extrae.schema import DataSource
 
 __all__ = [
     "BLOCK_ROWS",

@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.extrae.schema import SAMPLE_COUNTERS
 from repro.extrae.trace import Trace
 from repro.folding.detect import FoldInstances
 from repro.folding.fold import boundary_increments, boundary_values, fold_samples
@@ -54,7 +55,6 @@ from repro.folding.reps import (
 )
 from repro.folding.signatures import instance_sample_rows
 from repro.folding.stream import StreamedFold, fold_digest
-from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.util.pava import make_design
 
 __all__ = [

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.extrae.schema import SAMPLE_COUNTERS
 from repro.extrae.trace import SampleTable
 from repro.folding.detect import FoldInstances
-from repro.simproc.machine import SAMPLE_COUNTERS
 
 __all__ = [
     "FoldedSamples",

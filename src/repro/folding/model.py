@@ -22,8 +22,8 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.extrae.schema import SAMPLE_COUNTERS
 from repro.folding.fold import FoldedSamples
-from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.util.pava import BinnedDesign, fit_design, make_design
 
 __all__ = [

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.extrae.schema import SAMPLE_COUNTERS
 from repro.extrae.trace import Trace
 from repro.folding.address import FoldedAddresses, fold_addresses
 from repro.folding.detect import FoldInstances, instances_from_iterations
@@ -39,7 +40,6 @@ from repro.folding.fold import FoldedSamples, fold_samples
 from repro.folding.lines import FoldedLines, fold_lines
 from repro.folding.model import FoldedCounters, counter_design, fold_counters
 from repro.objects.registry import DataObjectRegistry
-from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.util.pava import BinnedDesign
 
 __all__ = ["FoldPlan"]

@@ -10,7 +10,7 @@ vector summarizing its access pattern:
   (:func:`repro.folding.fold.boundary_values` /
   :func:`~repro.folding.fold.boundary_increments`);
 * **data-source mix** — the fraction of the instance's samples served
-  by each memory-hierarchy level (:class:`repro.memsim.datasource.DataSource`);
+  by each memory-hierarchy level (:class:`repro.extrae.schema.DataSource`);
 * **op-kind mix** — load/store sample fractions;
 * **duration, sample count, mean latency** — scalar shape features.
 
@@ -28,12 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.extrae.schema import SAMPLE_COUNTERS, DataSource, MemOp
 from repro.extrae.trace import Trace
 from repro.folding.detect import FoldInstances
 from repro.folding.fold import boundary_increments, boundary_values
-from repro.memsim.datasource import DataSource
-from repro.memsim.patterns import MemOp
-from repro.simproc.machine import SAMPLE_COUNTERS
 
 __all__ = ["InstanceSignatures", "instance_sample_rows", "instance_signatures"]
 

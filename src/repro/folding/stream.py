@@ -76,6 +76,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.extrae.schema import SAMPLE_COUNTERS
 from repro.extrae.trace import Trace
 from repro.folding.detect import FoldInstances, instances_from_iterations
 from repro.folding.fold import _inside_mask, boundary_increments
@@ -83,7 +84,6 @@ from repro.folding.model import FoldedCounters, fit_counter_curves
 from repro.folding.spec import FoldSpec
 from repro.folding.stream_views import AddressStream, LineStream, StreamedReport
 from repro.objects.registry import DataObjectRegistry
-from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.util.pava import (
     BIN_THRESHOLD,
     DESIGN_BINS,
@@ -500,7 +500,7 @@ def stream_fold_trace(
     degenerate flags are bit-identical to the resident
     :func:`~repro.folding.report.fold_trace` at the same parameters.
     The product depends on (trace, spec) alone: it always folds
-    :data:`~repro.simproc.machine.SAMPLE_COUNTERS`, resolves addresses
+    :data:`~repro.extrae.schema.SAMPLE_COUNTERS`, resolves addresses
     against the trace's own object records (as the resident fold plan
     does), and builds the bounded summaries with the
     :mod:`~repro.folding.stream_views` constants — ``RESERVOIR_CAPACITY``

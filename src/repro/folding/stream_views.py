@@ -43,10 +43,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.extrae.schema import DataSource, MemOp
 from repro.folding.address import FoldedAddresses
 from repro.folding.lines import FoldedLines, LineTableBuilder
-from repro.memsim.datasource import DataSource
-from repro.memsim.patterns import MemOp
 from repro.objects.registry import DataObjectRegistry
 
 __all__ = [
@@ -127,9 +126,9 @@ class AddressAccounting:
     object_loads: np.ndarray
     object_stores: np.ndarray
     object_latency: np.ndarray
-    #: samples per :class:`~repro.memsim.datasource.DataSource` code.
+    #: samples per :class:`~repro.extrae.schema.DataSource` code.
     source_counts: np.ndarray
-    #: samples per :class:`~repro.memsim.patterns.MemOp` code.
+    #: samples per :class:`~repro.extrae.schema.MemOp` code.
     op_counts: np.ndarray
     n: int = 0
 

@@ -35,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.memsim.datasource import DataSource, LatencyModel
+from repro.extrae.schema import DataSource, MemOp
+from repro.memsim.datasource import LatencyModel
 from repro.memsim.hierarchy import HierarchyConfig, PatternResult
-from repro.memsim.patterns import AccessPattern, Locality, MemOp
+from repro.memsim.patterns import AccessPattern, Locality
 from repro.util.bitops import ceil_div
 
 __all__ = ["AnalyticEngine", "SegmentLru"]

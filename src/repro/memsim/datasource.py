@@ -5,7 +5,8 @@ served the load) and the *access cost* in core cycles.  The simulator
 reproduces both: the hierarchy engines classify each access into a
 :class:`DataSource` and the :class:`LatencyModel` turns sources into
 cycle costs, with optional jitter so latency histograms are not
-degenerate spikes.
+degenerate spikes.  :class:`DataSource` is part of the sample schema
+(:mod:`repro.extrae.schema`) and is re-exported here.
 
 The default latencies approximate a Haswell-EP core (the Jureca nodes
 used in the paper are dual Xeon E5-2680 v3).
@@ -14,59 +15,12 @@ used in the paper are dual Xeon E5-2680 v3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import IntEnum
 
 import numpy as np
 
+from repro.extrae.schema import DataSource
+
 __all__ = ["DataSource", "LatencyModel"]
-
-
-class DataSource(IntEnum):
-    """Which part of the memory hierarchy served an access.
-
-    The integer values are stable and appear in serialized traces; do
-    not renumber.
-    """
-
-    L1 = 1
-    #: Line-fill buffer: the line was already in flight (a prior miss to
-    #: the same line had not completed).  PEBS reports these separately.
-    LFB = 2
-    L2 = 3
-    L3 = 4
-    DRAM = 5
-    #: Data served from a remote socket's cache or memory, without
-    #: distinguishing which.  Unused by the single-socket model but
-    #: kept for trace-format completeness (legacy PEBS encoding).
-    REMOTE = 6
-    #: Served by the remote socket's last-level cache.  ARM SPE packet
-    #: data sources distinguish remote cache from remote memory; the
-    #: SPE backend's NUMA model emits these two codes.
-    REMOTE_CACHE = 7
-    #: Served by the remote socket's memory.
-    REMOTE_DRAM = 8
-
-    @property
-    def pretty(self) -> str:
-        return {
-            DataSource.L1: "L1D",
-            DataSource.LFB: "LFB",
-            DataSource.L2: "L2",
-            DataSource.L3: "L3",
-            DataSource.DRAM: "DRAM",
-            DataSource.REMOTE: "remote",
-            DataSource.REMOTE_CACHE: "remote-cache",
-            DataSource.REMOTE_DRAM: "remote-DRAM",
-        }[self]
-
-    @property
-    def is_remote(self) -> bool:
-        """Whether the access crossed the socket interconnect."""
-        return self in (
-            DataSource.REMOTE,
-            DataSource.REMOTE_CACHE,
-            DataSource.REMOTE_DRAM,
-        )
 
 
 @dataclass(frozen=True)

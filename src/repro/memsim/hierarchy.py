@@ -2,7 +2,7 @@
 
 Models an inclusive L1D/L2/L3 hierarchy with true LRU at every level,
 optional next-line prefetching into L2 and a data TLB.  Every access is
-classified into the :class:`~repro.memsim.datasource.DataSource` that
+classified into the :class:`~repro.extrae.schema.DataSource` that
 served it, which is exactly the information a PEBS load-latency record
 carries on real hardware.
 
@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.extrae.schema import DataSource, MemOp
 from repro.memsim.cache import Cache, CacheConfig
-from repro.memsim.datasource import DataSource, LatencyModel
-from repro.memsim.patterns import AccessPattern, MemOp
+from repro.memsim.datasource import LatencyModel
+from repro.memsim.patterns import AccessPattern
 from repro.memsim.prefetch import NextLinePrefetcher
 from repro.memsim.tlb import Tlb, TlbConfig
 

@@ -14,17 +14,19 @@ explicit address list).  Patterns serve three consumers:
   (:meth:`AccessPattern.addresses_at`), so sampled addresses are exact
   even when the bulk of the stream is costed analytically.
 
-All address arithmetic is in bytes on ``uint64``.
+All address arithmetic is in bytes on ``uint64``.  :class:`MemOp`
+belongs to the sample schema (:mod:`repro.extrae.schema`) and is
+re-exported here.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
+from repro.extrae.schema import MemOp
 from repro.util.bitops import ceil_div
 
 __all__ = [
@@ -37,13 +39,6 @@ __all__ = [
     "SequentialPattern",
     "StridedPattern",
 ]
-
-
-class MemOp(IntEnum):
-    """Memory operation kind; values are stable in serialized traces."""
-
-    LOAD = 0
-    STORE = 1
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.extrae.schema import DataSource, MemOp
 from repro.memsim.cache import CacheConfig
-from repro.memsim.datasource import DataSource
 from repro.memsim.hierarchy import HierarchyConfig, PatternResult
-from repro.memsim.patterns import AccessPattern, MemOp
+from repro.memsim.patterns import AccessPattern
 from repro.memsim.tlb import TlbConfig
 from repro.util.bitops import ilog2
 

@@ -16,9 +16,8 @@ import numpy as np
 
 from repro.extrae.index import group_rows
 from repro.extrae.memalloc import ObjectRecord
+from repro.extrae.schema import DataSource, MemOp
 from repro.extrae.trace import Trace
-from repro.memsim.datasource import DataSource
-from repro.memsim.patterns import MemOp
 from repro.objects.registry import DataObjectRegistry
 from repro.util.tables import format_table
 

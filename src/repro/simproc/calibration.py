@@ -7,7 +7,9 @@ numbers therefore come from this calibration; the *relative* behaviour
 itself.  Every constant here is either a documented hardware figure or a
 value fitted once against the paper's published measurements — see
 DESIGN.md ("Hardware/data gates and substitutions") and the per-kernel
-MLP discussion below.
+MLP discussion below.  The published measurements themselves,
+:data:`PAPER_TARGETS`, live in :mod:`repro.paper` and are re-exported
+here.
 
 Memory-level parallelism (MLP)
 ------------------------------
@@ -31,23 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.paper import PAPER_TARGETS
+
 __all__ = ["MachineCalibration", "PAPER_TARGETS", "KERNEL_MLP"]
-
-
-#: Published measurements from Servat et al. (ICPP 2017), §III.
-PAPER_TARGETS: dict[str, float] = {
-    # Effective bandwidth while traversing the matrix structure (MB/s).
-    "bandwidth_a1_MBps": 4197.0,  # SYMGS forward sweep
-    "bandwidth_a2_MBps": 4315.0,  # SYMGS backward sweep
-    "bandwidth_B_MBps": 6427.0,  # SPMV
-    # "the code does not exceed 1500 MIPS representing an IPC of 0.6
-    # considering the nominal frequency".
-    "mips_cap": 1500.0,
-    "ipc_at_cap": 0.6,
-    # Figure 1 legend: allocation-group sizes.
-    "object_group_124_MB": 617.0,
-    "object_group_205_MB": 89.0,
-}
 
 
 #: Fitted per-kernel memory-level parallelism (see module docstring).

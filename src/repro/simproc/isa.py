@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memsim.patterns import AccessPattern, MemOp
+from repro.extrae.schema import MemOp
+from repro.memsim.patterns import AccessPattern
 from repro.vmem.callstack import Frame
 
 __all__ = ["KernelBatch"]

@@ -24,7 +24,9 @@ across the batch interval, and cumulative counter readings interpolated
 from the batch's deltas (workloads emit several batches per kernel call,
 so interpolation spans are short).  The multiplex schedule then drops
 samples whose event group was not programmed at their timestamp, and the
-PEBS latency threshold filters cheap loads.
+PEBS latency threshold filters cheap loads.  A sample record
+(:class:`SampleBlock`, :data:`SAMPLE_COUNTERS`) is the sample schema of
+:mod:`repro.extrae.schema`, re-exported here.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from repro.memsim.datasource import DataSource
+from repro.extrae.schema import SAMPLE_COUNTERS, DataSource, MemOp, SampleBlock
 from repro.memsim.engines import make_engine
 from repro.memsim.hierarchy import PatternResult, PreciseEngine
-from repro.memsim.patterns import MemOp
 from repro.simproc.calibration import MachineCalibration
 from repro.simproc.counters import CounterSet
 from repro.simproc.isa import KernelBatch
@@ -46,50 +47,6 @@ from repro.simproc.noise import NoiseModel
 from repro.simproc.sampler import Sampler
 
 __all__ = ["BatchExecution", "Machine", "SampleBlock"]
-
-#: Counter fields attached (interpolated) to every sample record.
-SAMPLE_COUNTERS = (
-    "instructions",
-    "cycles",
-    "branches",
-    "l1d_misses",
-    "l2_misses",
-    "l3_misses",
-    "flops",
-    "dram_lines",
-    "dram_writebacks",
-)
-
-
-@dataclass
-class SampleBlock:
-    """PEBS samples harvested from one pattern of one batch."""
-
-    op: MemOp
-    label: str
-    offsets: np.ndarray
-    addresses: np.ndarray
-    sources: np.ndarray
-    latencies: np.ndarray
-    times_ns: np.ndarray
-    counters: dict[str, np.ndarray]
-
-    @property
-    def n(self) -> int:
-        return int(self.offsets.size)
-
-    def select(self, mask: np.ndarray) -> "SampleBlock":
-        """A copy with only the samples where *mask* is true."""
-        return SampleBlock(
-            op=self.op,
-            label=self.label,
-            offsets=self.offsets[mask],
-            addresses=self.addresses[mask],
-            sources=self.sources[mask],
-            latencies=self.latencies[mask],
-            times_ns=self.times_ns[mask],
-            counters={k: v[mask] for k, v in self.counters.items()},
-        )
 
 
 @dataclass

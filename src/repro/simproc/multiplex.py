@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.memsim.patterns import MemOp
+from repro.extrae.schema import MemOp
 
 __all__ = ["EventGroup", "MultiplexSchedule"]
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.memsim.patterns import MemOp
+from repro.extrae.schema import MemOp
 from repro.simproc.sampler import Sampler
 
 __all__ = ["PebsConfig", "PebsSampler"]

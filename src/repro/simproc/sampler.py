@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.memsim.patterns import MemOp
+from repro.extrae.schema import MemOp
 
 __all__ = ["DEFAULT_SAMPLER", "SAMPLER_NAMES", "Sampler"]
 

@@ -25,7 +25,7 @@ Memory-Centric Profiling on ARM Processors with ARM SPE"
   The backend models a first-touch-interleaved dual-socket machine: a
   deterministic per-cache-line hash homes a configurable fraction of
   lines remotely, rewriting their source to
-  :class:`~repro.memsim.datasource.DataSource.REMOTE_CACHE` /
+  :class:`~repro.extrae.schema.DataSource.REMOTE_CACHE` /
   ``REMOTE_DRAM`` and scaling their latency by the configured
   remote-access penalty.
 
@@ -40,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.memsim.datasource import DataSource
-from repro.memsim.patterns import MemOp
+from repro.extrae.schema import DataSource, MemOp
 from repro.simproc.sampler import Sampler
 
 __all__ = ["SpeConfig", "SpeSampler", "line_home_hash"]

@@ -15,7 +15,7 @@ checks codify what the rest of the pipeline silently assumes:
 * ``addresses`` — sample addresses are canonical x86-64 user-space
   pointers, and a sane fraction falls inside known object ranges;
 * ``sources`` — the ``source`` column only holds legal
-  :class:`~repro.memsim.datasource.DataSource` values (restricted to
+  :class:`~repro.extrae.schema.DataSource` values (restricted to
   :meth:`HierarchyConfig.legal_sources` when a hierarchy is given);
 * ``intern-tables`` — ``callstack_id``/``label_id`` columns index into
   the trace's intern tables, ops are valid ``MemOp`` codes, latencies
@@ -34,10 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.extrae.schema import DataSource, MemOp
 from repro.extrae.trace import EVENT_TIME_EPSILON_NS, Trace
-from repro.memsim.datasource import DataSource
 from repro.memsim.hierarchy import HierarchyConfig
-from repro.memsim.patterns import MemOp
 
 __all__ = [
     "ValidationError",

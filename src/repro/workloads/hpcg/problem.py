@@ -21,16 +21,12 @@ from dataclasses import dataclass, field
 
 from repro.extrae.tracer import Tracer
 from repro.memsim.patterns import MemOp, SequentialPattern
+from repro.paper import MAP_GROUP_NAME, MATRIX_GROUP_NAME
 from repro.simproc.isa import KernelBatch
 from repro.vmem.callstack import CallStack, Frame
 from repro.workloads.hpcg.geometry import Geometry
 
 __all__ = ["HpcgProblem", "LevelLayout", "MATRIX_GROUP_NAME", "MAP_GROUP_NAME"]
-
-#: Figure 1 legend names (the line numbers are the wrap instrumentation
-#: sites, not the allocation sites).
-MATRIX_GROUP_NAME = "124_GenerateProblem_ref.cpp"
-MAP_GROUP_NAME = "205_GenerateProblem_ref.cpp"
 
 #: per-row allocation sizes of the reference code
 INDL_BYTES = 27 * 4  # local_int_t mtxIndL[27]
