@@ -300,20 +300,26 @@ class Trace:
 
     # -- intern tables ----------------------------------------------------
     def callstack_id(self, stack: CallStack) -> int:
-        """Intern *stack*; returns its stable id."""
-        if stack not in self._callstack_ids:
-            self._callstack_ids[stack] = len(self._callstacks)
+        """Intern *stack*; returns its stable id.
+
+        One lookup per call: hashing a :class:`CallStack` walks its
+        frames, and every recorded block interns one.
+        """
+        stack_id = self._callstack_ids.get(stack)
+        if stack_id is None:
+            stack_id = self._callstack_ids[stack] = len(self._callstacks)
             self._callstacks.append(stack)
-        return self._callstack_ids[stack]
+        return stack_id
 
     def callstack(self, stack_id: int) -> CallStack:
         return self._callstacks[stack_id]
 
     def label_id(self, label: str) -> int:
-        if label not in self._label_ids:
-            self._label_ids[label] = len(self._labels)
+        label_id = self._label_ids.get(label)
+        if label_id is None:
+            label_id = self._label_ids[label] = len(self._labels)
             self._labels.append(label)
-        return self._label_ids[label]
+        return label_id
 
     def label(self, label_id: int) -> str:
         return self._labels[label_id]
