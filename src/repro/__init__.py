@@ -18,7 +18,9 @@ chain on a simulated substrate:
   (cache hierarchy), :mod:`repro.vmem` (address space + allocator),
   :mod:`repro.workloads` (HPCG and friends), :mod:`repro.parallel`
   (rank sets);
-* :mod:`repro.pipeline` — the one-call user API.
+* :mod:`repro.pipeline` — the one-call user API;
+* :mod:`repro.paper` — the paper's published targets, which the
+  calibration was fitted to and Figure 1 is checked against.
 
 Quickstart::
 
