@@ -22,13 +22,16 @@ RNG stream:
 
 from __future__ import annotations
 
+import json
 import tempfile
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.extrae.index import TraceIndex
+from repro.extrae.storage import SIDECAR_MEMBER
 from repro.extrae.trace import _SAMPLE_COLUMNS, SampleTable, Trace
 from repro.extrae.tracer import TracerConfig
 from repro.extrae.events import EventKind
@@ -60,6 +63,8 @@ def make_trace():
 
 
 # --- the seed implementation, verbatim ---------------------------------------
+# (except that the machine's sampler is read as ``Machine.sampler``, the
+# name its seed ``pebs`` alias stood for)
 
 
 def legacy_take(self, op, n_ops):
@@ -103,8 +108,8 @@ def legacy_attach_samples(self, execution, pattern_runs, t0, t1, before, delta):
             active = self.multiplex.active_mask(pattern.op, times)
             self.samples_dropped_mpx += int((~active).sum())
             keep &= active
-        if self.pebs is not None:
-            passed = self.pebs.latency_filter(pattern.op, block.latencies)
+        if self.sampler is not None:
+            passed = self.sampler.latency_filter(pattern.op, block.latencies)
             self.samples_dropped_latency += int((keep & ~passed).sum())
             keep &= passed
         block = block.select(keep)
@@ -126,8 +131,8 @@ def make_legacy_execute(fast_execute):
         dram_lines = writebacks = tlb_misses = 0
         for pattern in batch.patterns:
             offsets = (
-                self.pebs.take(pattern.op, pattern.count)
-                if self.pebs is not None
+                self.sampler.take(pattern.op, pattern.count)
+                if self.sampler is not None
                 else np.empty(0, dtype=np.int64)
             )
             result: PatternResult = self.engine.run_pattern(pattern, offsets)
@@ -185,6 +190,16 @@ def make_legacy_execute(fast_execute):
         return execution
 
     return execute
+
+
+def legacy_save_v1(trace, path):
+    """The seed ``Trace.save``: the v1 npz-in-deflated-zip container,
+    which this build only reads."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        with zf.open("samples.npz", "w") as f:
+            np.savez(f, **trace.sample_table().columns())
+        zf.writestr(SIDECAR_MEMBER, json.dumps(trace._sidecar(schema=1)))
+    return path
 
 
 def legacy_add_samples(self, block, callstack):
@@ -302,7 +317,7 @@ def measure(bench) -> dict:
         def legacy_run():
             with seed_implementation():
                 trace = make_trace()
-                trace.save(tmp / "legacy.bsctrace", version=1)
+                legacy_save_v1(trace, tmp / "legacy.bsctrace")
             return trace
 
         def fast_run():
@@ -318,7 +333,7 @@ def measure(bench) -> dict:
         del legacy
 
         v1, v2 = bench.time_ratio(
-            "save", lambda: trace.save(tmp / "v1.bsctrace", version=1),
+            "save", lambda: legacy_save_v1(trace, tmp / "v1.bsctrace"),
             lambda: trace.save(tmp / "v2.bsctrace", version=2,
                                compression="none"),
             pairs=SLOW_PAIRS,

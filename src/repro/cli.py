@@ -117,7 +117,6 @@ class _RankFactory:
 def main_run(argv: list[str] | None = None) -> int:
     """``bsc-memtools-run``: trace a workload."""
     from repro.extrae.storage import TRACE_COMPRESSIONS
-    from repro.extrae.trace import TRACE_SCHEMA_VERSIONS
     from repro.extrae.tracer import TracerConfig
     from repro.memsim.engines import ENGINE_NAMES
     from repro.pipeline import SessionConfig, run_workload
@@ -142,11 +141,8 @@ def main_run(argv: list[str] | None = None) -> int:
                    help="assume load+store groups co-schedulable "
                         "(PEBS only; SPE never multiplexes)")
     p.add_argument("-o", "--output", default="run.bsctrace")
-    p.add_argument("--trace-version", type=int, choices=list(TRACE_SCHEMA_VERSIONS),
-                   default=2, help="trace container version to write")
     p.add_argument("--compression", choices=list(TRACE_COMPRESSIONS),
-                   default="none",
-                   help="v2 column compression (v1 is always deflated)")
+                   default="none", help="trace column compression")
     p.add_argument("--ranks", type=int, default=1, metavar="N",
                    help="simulate an N-rank stack (HPCG ranks get their "
                         "halo position); workers spill per-rank traces "
@@ -182,8 +178,7 @@ def main_run(argv: list[str] | None = None) -> int:
     if args.ranks > 1:
         return _run_rank_set(args, config)
     trace = run_workload(_build_workload(args), config)
-    path = trace.save(args.output, version=args.trace_version,
-                      compression=args.compression)
+    path = trace.save(args.output, compression=args.compression)
     print(f"wrote {path} ({trace.n_samples} samples, "
           f"{len(trace.events)} events, {len(trace.objects)} objects)")
     if args.publish:
@@ -232,8 +227,7 @@ def _run_rank_set(args, config) -> int:
         print(f"  {metric}: min {im.min:,.0f} / median {im.median:,.0f} / "
               f"max {im.max:,.0f} (max/mean {im.imbalance_factor:.3f})")
     interior = results[args.ranks // 2]
-    path = interior.trace.save(args.output, version=args.trace_version,
-                               compression=args.compression)
+    path = interior.trace.save(args.output, compression=args.compression)
     print(f"wrote {path} (interior rank {interior.rank} "
           f"of {args.ranks})")
     if rank_set.spill_dir is not None:
@@ -566,12 +560,12 @@ def _trace_info(path: str) -> None:
 def main_trace(argv: list[str] | None = None) -> int:
     """``bsc-memtools-trace``: inspect/convert trace containers."""
     from repro.extrae.storage import TRACE_COMPRESSIONS
-    from repro.extrae.trace import TRACE_SCHEMA_VERSIONS, Trace
+    from repro.extrae.trace import Trace
 
     p = argparse.ArgumentParser(
         prog="bsc-memtools-trace",
-        description="Inspect a trace container or convert it between "
-        "schema versions and compression modes.",
+        description="Inspect a trace container, or convert it (v1 or v2) "
+        "to a v2 container with the chosen compression.",
     )
     sub = p.add_subparsers(dest="action", required=True)
     p_info = sub.add_parser(
@@ -579,15 +573,12 @@ def main_trace(argv: list[str] | None = None) -> int:
     )
     p_info.add_argument("trace")
     p_conv = sub.add_parser(
-        "convert", help="rewrite a trace in another container version"
+        "convert", help="rewrite a trace (any version) as a v2 container"
     )
     p_conv.add_argument("trace")
     p_conv.add_argument("-o", "--output", required=True)
-    p_conv.add_argument("--to-version", type=int,
-                        choices=list(TRACE_SCHEMA_VERSIONS), default=2)
     p_conv.add_argument("--compression", choices=list(TRACE_COMPRESSIONS),
-                        default="none",
-                        help="v2 column compression (ignored for v1)")
+                        default="none", help="v2 column compression")
     p_conv.add_argument("--verify", action="store_true",
                         help="reload the converted file and check the "
                         "content digest is unchanged")
@@ -597,9 +588,8 @@ def main_trace(argv: list[str] | None = None) -> int:
         _trace_info(args.trace)
         return 0
     trace = Trace.load(args.trace)
-    out = trace.save(args.output, version=args.to_version,
-                     compression=args.compression)
-    print(f"wrote {out} (v{args.to_version}, {trace.n_samples} samples)")
+    out = trace.save(args.output, compression=args.compression)
+    print(f"wrote {out} (v2, {trace.n_samples} samples)")
     if args.verify:
         if Trace.load(out).digest() != trace.digest():
             print("digest mismatch after conversion", file=sys.stderr)

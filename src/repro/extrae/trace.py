@@ -22,12 +22,12 @@ otherwise.  Both paths are bit-identical to the historical global
 and repeated ``digest()`` calls never force a rebuild.
 
 Serialization is schema-versioned via the ``"schema"`` field of the
-JSON sidecar.  :meth:`Trace.save` writes the **v2 container** by
-default — raw little-endian column members with selectable compression
-(``"none"``/``"deflate"``, see :mod:`repro.extrae.storage`) — and still
-writes the legacy npz-based **v1 container** on request.
-:meth:`Trace.load` reads both: v1 eagerly, v2 lazily (columns
-materialize on first touch, memory-mapped when uncompressed).
+JSON sidecar.  :meth:`Trace.save` writes the **v2 container** — raw
+little-endian column members with selectable compression
+(``"none"``/``"deflate"``, see :mod:`repro.extrae.storage`); the
+legacy npz-based **v1 container** is read-only.  :meth:`Trace.load`
+reads both: v1 eagerly, v2 lazily (columns materialize on first touch,
+memory-mapped when uncompressed).
 Version-less legacy files load as v1 with a warning; unknown versions
 raise :class:`TraceSchemaError`.  No pickling on disk, so traces are
 safe to exchange.
@@ -67,8 +67,8 @@ __all__ = [
     "TRACE_SCHEMA_VERSIONS",
 ]
 
-#: Version of the on-disk trace layout this build *writes* by default
-#: (the ``"schema"`` field of the JSON sidecar).
+#: Version of the on-disk trace layout this build *writes* (the
+#: ``"schema"`` field of the JSON sidecar).
 TRACE_SCHEMA_VERSION = 2
 
 #: Versions :meth:`Trace.load` accepts.
@@ -649,19 +649,18 @@ class Trace:
     ) -> Path:
         """Write the trace as ``<path>`` (a single-file zip container).
 
-        ``version=2`` (the default) writes raw per-column binary
-        members with the selected *compression* (``"none"`` streams
+        Writes the v2 container (the only *version* this build writes;
+        v1 containers are read-only): raw per-column binary members
+        with the selected *compression* (``"none"`` streams
         ``ZIP_STORED`` columns that load back as zero-copy memory maps;
-        ``"deflate"`` trades save/load speed for size).  ``version=1``
-        writes the legacy npz-in-deflated-zip container, byte-layout
-        identical to what earlier builds produced; *compression* does
-        not apply to it.
+        ``"deflate"`` trades save/load speed for size).
         """
         path = Path(path)
-        if version not in TRACE_SCHEMA_VERSIONS:
+        if version != TRACE_SCHEMA_VERSION:
             raise ValueError(
-                f"unknown trace schema version {version!r} "
-                f"(this build writes versions {TRACE_SCHEMA_VERSIONS})"
+                f"this build writes trace schema version "
+                f"{TRACE_SCHEMA_VERSION} only, got {version!r} "
+                f"(v1 containers are read-only)"
             )
         if compression not in TRACE_COMPRESSIONS:
             raise ValueError(
@@ -669,12 +668,6 @@ class Trace:
                 f"got {compression!r}"
             )
         table = self.sample_table()
-        if version == 1:
-            with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
-                with zf.open("samples.npz", "w") as f:
-                    np.savez(f, **table.columns())
-                zf.writestr(SIDECAR_MEMBER, json.dumps(self._sidecar(schema=1)))
-            return path
         zip_compression = (
             zipfile.ZIP_DEFLATED if compression == "deflate" else zipfile.ZIP_STORED
         )

@@ -20,7 +20,7 @@ from repro.extrae.schema import MemOp
 from repro.folding.fold import FoldedSamples
 from repro.objects.registry import DataObjectRegistry
 
-__all__ = ["AddressBand", "FoldedAddresses", "fold_addresses"]
+__all__ = ["AddressBand", "AddressQueries", "FoldedAddresses", "fold_addresses"]
 
 
 @dataclass(frozen=True)
@@ -37,22 +37,14 @@ class AddressBand:
             raise ValueError(f"band {self.label!r} is empty")
 
 
-@dataclass(frozen=True)
-class FoldedAddresses:
-    """The folded address scatter, one row per folded sample."""
+class AddressQueries:
+    """Point queries over a scatter's ``sigma``/``address``/``op``/
+    ``object_index`` columns and its ``registry``.
 
-    sigma: np.ndarray
-    address: np.ndarray
-    op: np.ndarray
-    source: np.ndarray
-    latency: np.ndarray
-    #: resolved object index (into ``registry.records``), -1 unmatched
-    object_index: np.ndarray
-    registry: DataObjectRegistry
-
-    @property
-    def n(self) -> int:
-        return int(self.sigma.size)
+    Shared by the resident :class:`FoldedAddresses` and the streamed
+    :class:`~repro.folding.stream_views.StreamedAddresses`, whose
+    points are its reservoir sample.
+    """
 
     @property
     def loads(self) -> np.ndarray:
@@ -61,9 +53,6 @@ class FoldedAddresses:
     @property
     def stores(self) -> np.ndarray:
         return self.op == int(MemOp.STORE)
-
-    def matched_fraction(self) -> float:
-        return float((self.object_index >= 0).mean()) if self.n else 0.0
 
     def in_range(self, lo: int, hi: int) -> np.ndarray:
         """Mask of samples whose address falls in ``[lo, hi)``."""
@@ -91,6 +80,27 @@ class FoldedAddresses:
         a = self.address[mask].astype(np.float64)
         slope, intercept = np.polyfit(s, a, 1)
         return float(intercept), float(slope)
+
+
+@dataclass(frozen=True)
+class FoldedAddresses(AddressQueries):
+    """The folded address scatter, one row per folded sample."""
+
+    sigma: np.ndarray
+    address: np.ndarray
+    op: np.ndarray
+    source: np.ndarray
+    latency: np.ndarray
+    #: resolved object index (into ``registry.records``), -1 unmatched
+    object_index: np.ndarray
+    registry: DataObjectRegistry
+
+    @property
+    def n(self) -> int:
+        return int(self.sigma.size)
+
+    def matched_fraction(self) -> float:
+        return float((self.object_index >= 0).mean()) if self.n else 0.0
 
 
 def fold_addresses(

@@ -16,7 +16,12 @@ import numpy as np
 
 from repro.extrae.trace import Trace
 
-__all__ = ["FoldInstances", "instances_from_iterations", "instances_from_regions"]
+__all__ = [
+    "FoldInstances",
+    "fold_instances",
+    "instances_from_iterations",
+    "instances_from_regions",
+]
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,28 @@ def instances_from_iterations(
         (t0, t1) for t0, t1 in zip(edges, edges[1:]) if t1 > t0
     )
     return FoldInstances(name or "iteration", intervals)
+
+
+def fold_instances(
+    trace: Trace,
+    prune_tolerance: float | None = 0.5,
+    instances: FoldInstances | None = None,
+) -> FoldInstances:
+    """The instances a fold folds.
+
+    *instances* (default: the iteration markers',
+    :func:`instances_from_iterations`), with outliers pruned at
+    *prune_tolerance* when it is set and there are at least three
+    instances.  The resident plan, the streamed passes and the
+    representative selection all take their instances here, so a
+    streamed or extrapolated fold and the exact fold it stands in for
+    agree on the instance set.
+    """
+    if instances is None:
+        instances = instances_from_iterations(trace)
+    if prune_tolerance is not None and instances.n >= 3:
+        instances = instances.prune_outliers(prune_tolerance)
+    return instances
 
 
 def instances_from_regions(trace: Trace, region: str) -> FoldInstances:

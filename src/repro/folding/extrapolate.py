@@ -17,9 +17,9 @@ exact fold **bit for bit** —
 
 * the per-instance searchsorted slices select the exact-fold rows in
   the same time order;
-* σ and the cumulative fractions use the same expressions over the
-  same boundary readings (:func:`~repro.folding.fold.boundary_values` /
-  :func:`~repro.folding.fold.boundary_increments`);
+* σ and the cumulative fractions use the same functions over the
+  same boundary readings (:func:`~repro.folding.fold.linear_sigma`,
+  :class:`~repro.folding.fold.CounterBounds`);
 * all-ones weights through :func:`~repro.util.pava.make_design` are
   value-identical to the unweighted design (multiplying by 1.0 is
   exact), and weighted means ``(v·w).sum()/w.sum()`` with unit weights
@@ -39,22 +39,19 @@ ones (the memory-access-vectors protocol, arXiv 2506.02344).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from repro.extrae.schema import SAMPLE_COUNTERS
 from repro.extrae.trace import Trace
-from repro.folding.detect import FoldInstances
-from repro.folding.fold import boundary_increments, boundary_values, fold_samples
+from repro.folding.detect import FoldInstances, fold_instances
+from repro.folding.fold import CounterBounds, fold_samples, linear_sigma
 from repro.folding.model import FoldedCounters, fit_counter_curves, fold_counters
-from repro.folding.reps import (
-    Representatives,
-    derive_instances,
-    select_representatives,
-)
+from repro.folding.reps import Representatives, select_representatives
 from repro.folding.signatures import instance_sample_rows
-from repro.folding.stream import StreamedFold, fold_digest
+from repro.folding.spec import REPRESENTATIVE
+from repro.folding.stream import StreamedFold
 from repro.util.pava import make_design
 
 __all__ = [
@@ -125,13 +122,12 @@ class FidelityBound:
 class ExtrapolatedFold:
     """A counters-only fold extrapolated from weighted representatives.
 
-    Duck-compatible with :class:`~repro.folding.stream.StreamedFold`
-    (same performance-direction surface:
-    instances/counters/totals/degenerate/n_folded, ``digest()``,
-    ``summary()``, ``export_gnuplot()``), so
-    :func:`~repro.folding.stream.fold_digest` and the counters exporter
-    apply unchanged.  ``instances``/``totals``/``degenerate`` cover
-    *all* instances — only the fitted curves are extrapolated.
+    Carries the performance-direction surface of
+    :class:`~repro.folding.stream.StreamedFold`
+    (instances/counters/totals/degenerate/n_folded), and takes its
+    ``digest()`` and ``export_gnuplot()``.  ``instances``/``totals``/
+    ``degenerate`` cover *all* instances — only the fitted curves are
+    extrapolated.
     """
 
     instances: FoldInstances
@@ -144,8 +140,9 @@ class ExtrapolatedFold:
     #: measured error vs. the exact fold, when a harness computed one
     fidelity: FidelityBound | None = None
 
-    def digest(self) -> str:
-        return fold_digest(self)
+    fold_path: ClassVar[str] = REPRESENTATIVE
+    digest = StreamedFold.digest
+    export_gnuplot = StreamedFold.export_gnuplot
 
     def summary(self) -> str:
         reps = self.representatives
@@ -161,14 +158,6 @@ class ExtrapolatedFold:
         if self.fidelity is not None:
             parts.append(f"  {self.fidelity.summary()}")
         return "\n".join(parts)
-
-    def export_gnuplot(self, directory: str | Path) -> list[Path]:
-        """Write the performance panel (``counters.dat``) only."""
-        from repro.folding.export import export_counters_dat
-
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        return [export_counters_dat(self.counters, directory)]
 
 
 def extrapolated_fold(
@@ -191,18 +180,12 @@ def extrapolated_fold(
     starts = instances.starts_ns
     ends = instances.ends_ns
 
-    # Exact O(instances) bookkeeping over ALL instances, shared
-    # expressions with fold_samples.
-    c_start: dict[str, np.ndarray] = {}
-    denom: dict[str, np.ndarray] = {}
-    totals: dict[str, np.ndarray] = {}
-    degenerate: dict[str, np.ndarray] = {}
-    for name in counters:
-        series = table.column(name)
-        cs = boundary_values(t, series, starts)
-        ce = boundary_values(t, series, ends)
-        totals[name], degenerate[name], denom[name] = boundary_increments(cs, ce)
-        c_start[name] = cs
+    # Exact O(instances) bookkeeping over ALL instances, shared with
+    # fold_samples.
+    bounds = {
+        name: CounterBounds.interpolate(t, table.column(name), instances)
+        for name in counters
+    }
 
     sel = representatives.indices
     w = representatives.weights
@@ -210,12 +193,10 @@ def extrapolated_fold(
     if rows.size == 0:
         raise ValueError("representative instances contain no samples")
     g = sel[local]  # global instance index of every kept sample
-    sigma = (t[rows] - starts[g]) / (ends[g] - starts[g])
+    sigma = linear_sigma(t[rows], g, starts, ends)
     Y = np.empty((len(counters), rows.size), dtype=np.float64)
     for i, name in enumerate(counters):
-        value = table.column(name)[rows]
-        frac = (value - c_start[name][g]) / denom[name][g]
-        Y[i] = np.clip(frac, 0.0, 1.0)
+        Y[i] = bounds[name].fractions(table.column(name)[rows], g)
 
     design = make_design(sigma, Y, weights=w[local])
     wsum = w.sum()
@@ -225,7 +206,7 @@ def extrapolated_fold(
         bandwidth=bandwidth,
         counters=tuple(counters),
         totals_mean={
-            name: float((totals[name][sel] * w).sum() / wsum)
+            name: float((bounds[name].totals[sel] * w).sum() / wsum)
             for name in counters
         },
         duration_ns=float((instances.durations_ns[sel] * w).sum() / wsum),
@@ -233,8 +214,8 @@ def extrapolated_fold(
     return ExtrapolatedFold(
         instances=instances,
         counters=fitted,
-        totals=totals,
-        degenerate=degenerate,
+        totals={name: b.totals for name, b in bounds.items()},
+        degenerate={name: b.degenerate for name, b in bounds.items()},
         n_folded=int(rows.size),
         representatives=representatives,
     )
@@ -257,7 +238,7 @@ def exact_performance_fold(
     understands.
     """
     if instances is None:
-        instances = derive_instances(trace, None, prune_tolerance)
+        instances = fold_instances(trace, prune_tolerance)
     folded = fold_samples(trace.sample_table(), instances)
     fitted = fold_counters(
         folded, grid_points=grid_points, bandwidth=bandwidth
@@ -287,7 +268,7 @@ def measure_fidelity(
     runs — on production-size traces, run the extrapolation alone and
     carry a bound measured on a scaled-down twin as metadata.
     """
-    instances = derive_instances(trace, None, prune_tolerance)
+    instances = fold_instances(trace, prune_tolerance)
     reps = select_representatives(
         trace, instances=instances, budget=budget, seed=seed
     )

@@ -22,11 +22,12 @@ from repro.extrae.trace import SampleTable
 from repro.folding.detect import FoldInstances
 
 __all__ = [
+    "CounterBounds",
     "FoldedSamples",
-    "boundary_increments",
-    "boundary_values",
     "count_in_instances",
     "fold_samples",
+    "linear_sigma",
+    "project",
 ]
 
 
@@ -43,32 +44,71 @@ def _inside_mask(
     return idx, inside
 
 
-def boundary_values(
-    t: np.ndarray, series: np.ndarray, at: np.ndarray
+def linear_sigma(
+    t: np.ndarray, idx: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
-    """Cumulative counter readings interpolated at boundary times *at*.
+    """σ of samples at times *t* in instances *idx*: the linear
+    per-instance projection onto [0, 1).
 
-    A trace with no samples reads zero everywhere (there is nothing to
-    interpolate from).
+    The one σ expression of every linear fold path, so their
+    projections agree bit for bit.
     """
-    return np.interp(at, t, series) if t.size else np.zeros_like(at)
+    return (t - starts[idx]) / (ends[idx] - starts[idx])
 
 
-def boundary_increments(
-    c_start: np.ndarray, c_end: np.ndarray
+def project(
+    t: np.ndarray, instances: FoldInstances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-instance counter increments from boundary readings.
+    """Linear projection of sample times *t* onto the folded axis.
 
-    Returns ``(totals, degenerate, denom)``: the raw increment clamped
-    at zero, the mask of non-positive raw increments, and the fraction
-    denominator (raw clamped at 1e-12).  This is the *single* clamp
-    site — the resident :func:`fold_samples` and the streaming
-    accumulator (:mod:`repro.folding.stream`) both derive their
-    totals/degenerate flags here, so incremental accumulation cannot
-    drift from the whole-trace computation.
+    Returns ``(inside, idx, sigma)``: the mask of samples inside any
+    instance, and each kept sample's instance index and σ.
     """
-    raw = c_end - c_start
-    return np.maximum(raw, 0.0), raw <= 0.0, np.maximum(raw, 1e-12)
+    starts, ends = instances.starts_ns, instances.ends_ns
+    idx, inside = _inside_mask(t, starts, ends)
+    idx = idx[inside]
+    return inside, idx, linear_sigma(t[inside], idx, starts, ends)
+
+
+class CounterBounds:
+    """One counter's per-instance boundary bookkeeping.
+
+    From the cumulative readings at the instance starts and ends:
+    ``totals``, the raw increment clamped at zero; ``degenerate``, the
+    mask of non-positive raw increments (a flat counter, or
+    interpolation noise); and ``denom``, the fraction denominator (raw
+    clamped at 1e-12).  This is the *single* clamp site: the resident
+    fold, the streaming accumulator, the extrapolated fold and the
+    instance signatures all derive their totals, flags and fractions
+    here, so incremental accumulation cannot drift from the
+    whole-trace computation.
+    """
+
+    def __init__(self, start: np.ndarray, end: np.ndarray) -> None:
+        raw = end - start
+        self.start = start
+        self.totals = np.maximum(raw, 0.0)
+        self.degenerate = raw <= 0.0
+        self.denom = np.maximum(raw, 1e-12)
+
+    @classmethod
+    def interpolate(
+        cls, t: np.ndarray, series: np.ndarray, instances: FoldInstances
+    ) -> "CounterBounds":
+        """Readings interpolated from the whole series at the boundaries.
+
+        A trace with no samples reads zero everywhere (there is nothing
+        to interpolate from).
+        """
+        starts, ends = instances.starts_ns, instances.ends_ns
+        if not t.size:
+            return cls(np.zeros_like(starts), np.zeros_like(ends))
+        return cls(np.interp(starts, t, series), np.interp(ends, t, series))
+
+    def fractions(self, value: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Cumulative fractions in [0, 1] of readings *value* taken in
+        instances *idx*."""
+        return np.clip((value - self.start[idx]) / self.denom[idx], 0.0, 1.0)
 
 
 def count_in_instances(table: SampleTable, instances: FoldInstances) -> int:
@@ -148,7 +188,7 @@ def fold_samples(
     kept = table.select(inside)
     tk = kept.time_ns
     if warp is None:
-        sigma = (tk - starts[idx]) / (ends[idx] - starts[idx])
+        sigma = linear_sigma(tk, idx, starts, ends)
     else:
         if warp.n_instances != instances.n:
             raise ValueError(
@@ -172,15 +212,10 @@ def fold_samples(
     totals: dict[str, np.ndarray] = {}
     degenerate: dict[str, np.ndarray] = {}
     for name in SAMPLE_COUNTERS:
-        series = table.column(name)
-        c_start = boundary_values(t, series, starts)
-        c_end = boundary_values(t, series, ends)
-        totals[name], degenerate[name], denom = boundary_increments(
-            c_start, c_end
-        )
-        value = kept.column(name)
-        frac = (value - c_start[idx]) / denom[idx]
-        fractions[name] = np.clip(frac, 0.0, 1.0)
+        bounds = CounterBounds.interpolate(t, table.column(name), instances)
+        totals[name] = bounds.totals
+        degenerate[name] = bounds.degenerate
+        fractions[name] = bounds.fractions(kept.column(name), idx)
 
     return FoldedSamples(
         instances=instances,

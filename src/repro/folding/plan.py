@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.extrae.schema import SAMPLE_COUNTERS
 from repro.extrae.trace import Trace
 from repro.folding.address import FoldedAddresses, fold_addresses
-from repro.folding.detect import FoldInstances, instances_from_iterations
+from repro.folding.detect import FoldInstances, fold_instances
 from repro.folding.fold import FoldedSamples, fold_samples
 from repro.folding.lines import FoldedLines, fold_lines
 from repro.folding.model import FoldedCounters, counter_design, fold_counters
@@ -88,10 +88,7 @@ class FoldPlan:
         :func:`~repro.folding.report.fold_trace` and its cache leave
         to this layer.
         """
-        if instances is None:
-            instances = instances_from_iterations(trace)
-        if prune_tolerance is not None and instances.n >= 3:
-            instances = instances.prune_outliers(prune_tolerance)
+        instances = fold_instances(trace, prune_tolerance, instances)
         if registry is None:
             registry = DataObjectRegistry(trace.objects)
         warp = None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from repro.folding.detect import FoldInstances
 from repro.folding.fold import FoldedSamples
 from repro.folding.lines import FoldedLines
 from repro.folding.model import FoldedCounters
-from repro.folding.spec import FoldSpec
+from repro.folding.spec import REPRESENTATIVE, RESIDENT, STREAMED, STREAMED_REPORT
+from repro.folding.spec import FoldSpec, serves
 from repro.objects.registry import DataObjectRegistry
 
 __all__ = ["FoldedReport", "fold_trace"]
@@ -46,6 +48,8 @@ class FoldedReport:
     lines: FoldedLines
     registry: DataObjectRegistry
 
+    fold_path: ClassVar[str] = RESIDENT
+
     # The performance-direction surface every fold product shares
     # (StreamedFold and ExtrapolatedFold carry these as fields).
     @property
@@ -59,6 +63,20 @@ class FoldedReport:
     @property
     def degenerate(self) -> dict[str, np.ndarray]:
         return self.samples.degenerate
+
+    @property
+    def performance(self):
+        """The counters-only :class:`~repro.folding.stream.StreamedFold`
+        this report contains, bit for bit."""
+        from repro.folding.stream import StreamedFold
+
+        return StreamedFold(
+            instances=self.instances,
+            counters=self.counters,
+            totals=dict(self.totals),
+            degenerate=dict(self.degenerate),
+            n_folded=self.n_folded,
+        )
 
     # ------------------------------------------------------------------
     def summary(self) -> str:
@@ -161,7 +179,8 @@ def fold_trace(
     :func:`~repro.folding.extrapolate.extrapolated_fold`.
     """
     spec = replace(spec or FoldSpec(), **fields)
-    if spec.streaming:
+    path = spec.path
+    if path in (STREAMED, STREAMED_REPORT):
         from repro.folding.stream import DEFAULT_CHUNK_ROWS, stream_fold_trace
 
         return stream_fold_trace(
@@ -178,20 +197,18 @@ def fold_trace(
             "streaming folds"
         )
 
-    from repro.folding.extrapolate import ExtrapolatedFold, extrapolated_fold
-
-    rep_fold = spec.rep_budget is not None
     if cache is not None:
         key = cache.key(trace.digest(), spec)
         hit = cache.get(key)
         # A counters-only streamed entry can share a resident key; it
         # cannot serve a full report, so it counts as a miss (the fresh
         # report then overwrites the entry).
-        if isinstance(hit, ExtrapolatedFold if rep_fold else FoldedReport):
+        if hit is not None and serves(hit.fold_path, path):
             # Entries are stored without the (large) input trace; the
             # caller's live trace is bit-identical by key construction.
-            return hit if rep_fold else replace(hit, trace=trace)
-    if rep_fold:
+            return hit if path == REPRESENTATIVE else replace(hit, trace=trace)
+    if path == REPRESENTATIVE:
+        from repro.folding.extrapolate import extrapolated_fold
         from repro.folding.reps import select_representatives
 
         representatives = select_representatives(

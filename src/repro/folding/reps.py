@@ -29,7 +29,7 @@ import numpy as np
 from repro.extrae.trace import Trace
 from repro.folding.detect import (
     FoldInstances,
-    instances_from_iterations,
+    fold_instances,
     instances_from_regions,
 )
 from repro.folding.signatures import InstanceSignatures, instance_signatures
@@ -168,26 +168,6 @@ def cluster_signatures(
     )
 
 
-def derive_instances(
-    trace: Trace,
-    region: str | None = None,
-    prune_tolerance: float | None = 0.5,
-) -> FoldInstances:
-    """Instance boundaries exactly as the exact fold derives them.
-
-    Mirrors :meth:`repro.folding.plan.FoldPlan.from_trace` so a
-    representative selection and the exact fold it stands in for always
-    agree on the instance set.
-    """
-    if region is not None:
-        instances = instances_from_regions(trace, region)
-    else:
-        instances = instances_from_iterations(trace)
-    if prune_tolerance is not None and instances.n >= 3:
-        instances = instances.prune_outliers(prune_tolerance)
-    return instances
-
-
 def select_representatives(
     trace: Trace,
     region: str | None = None,
@@ -199,16 +179,20 @@ def select_representatives(
 ) -> Representatives:
     """Pick ``budget`` weighted representative instances of *trace*.
 
-    Signature computation and clustering are both O(instances) on top of
-    one vectorized pass over the sample table — cheap relative to the
-    fold they amortize.
+    The instances default to the exact fold's
+    (:func:`~repro.folding.detect.fold_instances`), over *region*'s
+    occurrences when one is named.  Signature computation and
+    clustering are both O(instances) on top of one vectorized pass
+    over the sample table — cheap relative to the fold they amortize.
     """
     if budget < 1:
         raise ValueError(f"rep budget must be >= 1, got {budget}")
     if instances is None:
-        instances = derive_instances(trace, region, prune_tolerance)
-    if instances.n == 0:
-        raise ValueError("trace has no fold instances to represent")
+        instances = fold_instances(
+            trace,
+            prune_tolerance,
+            instances_from_regions(trace, region) if region is not None else None,
+        )
     if budget >= instances.n:
         # exhaustive: the identity selection needs no features at all
         return cluster_signatures(

@@ -6,9 +6,8 @@ access-vector idea (arXiv 2506.02344), each instance gets one feature
 vector summarizing its access pattern:
 
 * **counter deltas** — per-counter increment rate over the instance,
-  from the same boundary-interpolated readings the exact fold uses
-  (:func:`repro.folding.fold.boundary_values` /
-  :func:`~repro.folding.fold.boundary_increments`);
+  from the same boundary bookkeeping the exact fold uses
+  (:class:`repro.folding.fold.CounterBounds`);
 * **data-source mix** — the fraction of the instance's samples served
   by each memory-hierarchy level (:class:`repro.extrae.schema.DataSource`);
 * **op-kind mix** — load/store sample fractions;
@@ -31,7 +30,7 @@ import numpy as np
 from repro.extrae.schema import SAMPLE_COUNTERS, DataSource, MemOp
 from repro.extrae.trace import Trace
 from repro.folding.detect import FoldInstances
-from repro.folding.fold import boundary_increments, boundary_values
+from repro.folding.fold import CounterBounds
 
 __all__ = ["InstanceSignatures", "instance_sample_rows", "instance_signatures"]
 
@@ -129,11 +128,7 @@ def instance_signatures(
     columns: list[np.ndarray] = []
 
     for name in SAMPLE_COUNTERS:
-        series = table.column(name)
-        totals, _, _ = boundary_increments(
-            boundary_values(t, series, starts),
-            boundary_values(t, series, ends),
-        )
+        totals = CounterBounds.interpolate(t, table.column(name), instances).totals
         names.append(f"{name}_per_ns")
         columns.append(totals / durations)
 

@@ -8,8 +8,10 @@ entry builds one :class:`FoldSpec` from its own inputs:
 :func:`~repro.folding.stream.stream_fold_trace`,
 :func:`~repro.pipeline.analyze_hpcg`, ``bsc-memtools-fold`` and the
 analysis service's ``/fold`` route.  So the defaults, the range checks,
-the rules for combining paths and the
-:class:`~repro.folding.cache.FoldCache` address are written once, here.
+the rules for combining paths, the fold path a spec selects
+(:attr:`FoldSpec.path`), what each path's product serves
+(:func:`serves`) and the :class:`~repro.folding.cache.FoldCache`
+address are written once, here.
 
 A fold entry's product is a function of (trace, spec) alone.  Its
 other arguments — the cache, chunk size and live snapshots — change
@@ -26,10 +28,50 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["DIRECTIONS", "FoldSpec", "normalize_directions"]
+__all__ = [
+    "DIRECTIONS",
+    "FoldSpec",
+    "REPRESENTATIVE",
+    "RESIDENT",
+    "STREAMED",
+    "STREAMED_REPORT",
+    "normalize_directions",
+    "serves",
+]
 
 #: The report's three directions (§II), in canonical order.
 DIRECTIONS = ("counters", "address", "lines")
+
+#: The fold paths a spec selects (:attr:`FoldSpec.path`), and the
+#: ``fold_path`` of their products: ``FoldedReport``, ``StreamedFold``,
+#: ``StreamedReport`` and ``ExtrapolatedFold``.
+RESIDENT = "resident"
+STREAMED = "streamed"
+STREAMED_REPORT = "streamed report"
+REPRESENTATIVE = "representative"
+
+#: What each path's product serves: the payload directions it answers
+#: exactly, and the paths whose product it is or contains.  Only the
+#: resident report stands in for another fold (its counters-only part
+#: is the streamed fold, bit for bit), so a representative fold never
+#: serves an exact request.
+_SERVES = {
+    RESIDENT: frozenset({RESIDENT, STREAMED, *DIRECTIONS}),
+    STREAMED: frozenset({STREAMED, "counters"}),
+    STREAMED_REPORT: frozenset({STREAMED_REPORT, "counters"}),
+    REPRESENTATIVE: frozenset({REPRESENTATIVE, "counters"}),
+}
+
+
+def serves(path: str, what: str) -> bool:
+    """Whether the product of fold *path* serves *what*: a payload
+    direction, or another fold path.
+
+    ``serves(spec.path, direction)`` says whether a fold can answer a
+    payload at all, and ``serves(hit.fold_path, spec.path)`` whether a
+    cached product found under the spec's key serves the fold.
+    """
+    return what in _SERVES[path]
 
 
 def normalize_directions(directions) -> tuple[str, ...] | None:
@@ -122,6 +164,16 @@ class FoldSpec:
             self, "directions", normalize_directions(self.directions)
         )
 
+    @property
+    def path(self) -> str:
+        """The fold this spec selects: :data:`RESIDENT`, :data:`STREAMED`,
+        :data:`STREAMED_REPORT` or :data:`REPRESENTATIVE`."""
+        if self.rep_budget is not None:
+            return REPRESENTATIVE
+        if self.streaming:
+            return STREAMED if self.directions is None else STREAMED_REPORT
+        return RESIDENT
+
     def cache_key(self) -> tuple[str, dict]:
         """The :class:`~repro.folding.cache.FoldCache` ``(kind, params)``.
 
@@ -140,13 +192,14 @@ class FoldSpec:
             "bandwidth": self.bandwidth,
             "prune_tolerance": self.prune_tolerance,
         }
-        if self.rep_budget is not None:
+        path = self.path
+        if path == REPRESENTATIVE:
             return "extrapolated", {
                 **params,
                 "rep_budget": self.rep_budget,
                 "rep_seed": self.rep_seed,
             }
-        if self.directions is not None:
+        if path == STREAMED_REPORT:
             from repro.folding.stream_views import LINE_SIGMA_BINS, RESERVOIR_CAPACITY
 
             return "streamed", {

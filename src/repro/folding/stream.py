@@ -34,9 +34,10 @@ the chunkwise accumulation reproduce the resident sums to the last bit:
   a two-chunk window — the previous chunk's last row plus the current
   chunk — the first time the stream passes it, reproducing the
   whole-trace interpolation exactly (and independently of the chunk
-  size).  The shared clamp
-  (:func:`~repro.folding.fold.boundary_increments`) then guarantees
-  identical ``totals``/``degenerate`` flags.
+  size).  The shared bookkeeping
+  (:class:`~repro.folding.fold.CounterBounds`) then guarantees
+  identical ``totals``/``degenerate`` flags and fractions, and the
+  shared :func:`~repro.folding.fold.project` the same σ.
 
 The final :func:`~repro.util.pava.fit_design` runs on the accumulated
 design through the same :func:`~repro.folding.model.fit_counter_curves`
@@ -73,15 +74,16 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from repro.extrae.schema import SAMPLE_COUNTERS
 from repro.extrae.trace import Trace
-from repro.folding.detect import FoldInstances, instances_from_iterations
-from repro.folding.fold import _inside_mask, boundary_increments
+from repro.folding.detect import FoldInstances, fold_instances
+from repro.folding.fold import CounterBounds, project
 from repro.folding.model import FoldedCounters, fit_counter_curves
-from repro.folding.spec import FoldSpec
+from repro.folding.spec import STREAMED, STREAMED_REPORT, FoldSpec, serves
 from repro.folding.stream_views import AddressStream, LineStream, StreamedReport
 from repro.objects.registry import DataObjectRegistry
 from repro.util.pava import (
@@ -109,9 +111,14 @@ __all__ = [
 from repro.extrae.storage import DEFAULT_CHUNK_ROWS  # noqa: E402
 
 
+def _getter(chunk):
+    """The column lookup of a chunk (a mapping or a ``SampleTable``)."""
+    return chunk.column if hasattr(chunk, "column") else chunk.__getitem__
+
+
 def _chunk_columns(chunk, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Column arrays of a chunk (a mapping or a ``SampleTable``)."""
-    getter = chunk.column if hasattr(chunk, "column") else chunk.__getitem__
+    """Float column arrays of a chunk."""
+    getter = _getter(chunk)
     return {
         name: np.asarray(getter(name), dtype=np.float64) for name in names
     }
@@ -126,8 +133,7 @@ def _chunk_columns(chunk, names: tuple[str, ...]) -> dict[str, np.ndarray]:
 class StreamPrologue:
     """What one cheap streaming pass learns about a trace.
 
-    Holds the per-instance boundary readings (and the
-    totals/degenerate/denominator vectors derived from them), the kept
+    Holds each counter's per-instance boundary bookkeeping, the kept
     sample count, and the σ span — the only whole-trace facts the
     chunkwise design accumulation needs.  Everything here is O(number
     of instances), never O(samples).
@@ -143,11 +149,8 @@ class StreamPrologue:
     span: tuple[float, float] | None
     #: whether the design pre-aggregates onto the fixed binning
     binned: bool
-    c_start: dict[str, np.ndarray]
-    c_end: dict[str, np.ndarray]
-    totals: dict[str, np.ndarray]
-    degenerate: dict[str, np.ndarray]
-    denom: dict[str, np.ndarray]
+    #: counter name -> boundary readings, totals, flags and denominators
+    bounds: dict[str, CounterBounds]
     #: (min, max) address over kept samples — only when the pass was
     #: asked to track it (the streamed address direction's sketch span)
     addr_range: tuple[int, int] | None = None
@@ -174,12 +177,10 @@ def build_prologue(
     span, another exact scalar reduction) is recorded in
     :attr:`StreamPrologue.addr_range`.
     """
-    starts = instances.starts_ns
-    ends = instances.ends_ns
     n_inst = instances.n
-    bounds = np.concatenate([starts, ends])
-    bvals = {name: np.zeros(bounds.size, dtype=np.float64) for name in counters}
-    pending = np.ones(bounds.size, dtype=bool)
+    edges = np.concatenate([instances.starts_ns, instances.ends_ns])
+    bvals = {name: np.zeros(edges.size, dtype=np.float64) for name in counters}
+    pending = np.ones(edges.size, dtype=bool)
     prev_t: np.ndarray | None = None
     prev_v: dict[str, np.ndarray] = {}
     n_rows = 0
@@ -196,25 +197,18 @@ def build_prologue(
             prev_t is not None and t[0] < prev_t[0]
         ):
             raise ValueError("sample chunks must arrive in time order")
-        idx, inside = _inside_mask(t, starts, ends)
-        k = int(np.count_nonzero(inside))
+        inside, _, sigma = project(t, instances)
+        k = int(sigma.size)
         if k:
-            ik = idx[inside]
-            sigma = (t[inside] - starts[ik]) / (ends[ik] - starts[ik])
             smin = min(smin, float(sigma.min()))
             smax = max(smax, float(sigma.max()))
             n_kept += k
             if track_address:
-                getter = (
-                    chunk.column
-                    if hasattr(chunk, "column")
-                    else chunk.__getitem__
-                )
-                kept = np.asarray(getter("address"))[inside]
+                kept = np.asarray(_getter(chunk)("address"))[inside]
                 lo, hi = int(kept.min()), int(kept.max())
                 amin = lo if amin is None else min(amin, lo)
                 amax = hi if amax is None else max(amax, hi)
-        resolve = pending & (bounds < t[-1])
+        resolve = pending & (edges < t[-1])
         if resolve.any():
             if prev_t is None:
                 tw = t
@@ -225,7 +219,7 @@ def build_prologue(
                     name: np.concatenate([prev_v[name], cols[name]])
                     for name in counters
                 }
-            at = bounds[resolve]
+            at = edges[resolve]
             for name in counters:
                 bvals[name][resolve] = np.interp(at, tw, windows[name])
             pending &= ~resolve
@@ -240,18 +234,6 @@ def build_prologue(
             bvals[name][pending] = prev_v[name][0]
     # (With zero rows every boundary stays 0.0 — matching fold_samples.)
 
-    c_start: dict[str, np.ndarray] = {}
-    c_end: dict[str, np.ndarray] = {}
-    totals: dict[str, np.ndarray] = {}
-    degenerate: dict[str, np.ndarray] = {}
-    denom: dict[str, np.ndarray] = {}
-    for name in counters:
-        c_start[name] = bvals[name][:n_inst].copy()
-        c_end[name] = bvals[name][n_inst:].copy()
-        totals[name], degenerate[name], denom[name] = boundary_increments(
-            c_start[name], c_end[name]
-        )
-
     return StreamPrologue(
         instances=instances,
         counters=tuple(counters),
@@ -259,11 +241,12 @@ def build_prologue(
         n_kept=n_kept,
         span=(smin, smax) if n_kept else None,
         binned=n_kept > BIN_THRESHOLD,
-        c_start=c_start,
-        c_end=c_end,
-        totals=totals,
-        degenerate=degenerate,
-        denom=denom,
+        bounds={
+            name: CounterBounds(
+                bvals[name][:n_inst].copy(), bvals[name][n_inst:].copy()
+            )
+            for name in counters
+        },
         addr_range=(amin, amax) if amin is not None else None,
     )
 
@@ -307,32 +290,30 @@ class StreamingFold:
         self.n_folded = 0
         self.n_chunks = 0
 
-    def add_chunk(self, chunk) -> int:
-        """Fold one time-ordered chunk in; returns its kept-row count."""
+    def add_chunk(self, chunk) -> tuple[np.ndarray, np.ndarray]:
+        """Fold one time-ordered chunk in.
+
+        Returns the chunk's projection ``(inside, sigma)``: the mask of
+        its rows inside an instance and their σ, so the other
+        directions of the same pass need not project it again.
+        """
         p = self.prologue
         cols = _chunk_columns(chunk, ("time_ns", *p.counters))
         t = cols["time_ns"]
         self.n_chunks += 1
-        if t.size == 0:
-            return 0
-        if self._last_t is not None and t[0] < self._last_t:
-            raise ValueError("sample chunks must arrive in time order")
-        self._last_t = float(t[-1])
-        starts, ends = p.instances.starts_ns, p.instances.ends_ns
-        idx, inside = _inside_mask(t, starts, ends)
-        k = int(np.count_nonzero(inside))
+        if t.size:
+            if self._last_t is not None and t[0] < self._last_t:
+                raise ValueError("sample chunks must arrive in time order")
+            self._last_t = float(t[-1])
+        inside, ik, sigma = project(t, p.instances)
+        k = int(sigma.size)
         if k == 0:
-            return 0
-        ik = idx[inside]
-        sigma = (t[inside] - starts[ik]) / (ends[ik] - starts[ik])
+            return inside, sigma
         which = (
             assign_design_bins(sigma, self._edges) if p.binned else None
         )
         for row, name in enumerate(p.counters):
-            value = cols[name][inside]
-            frac = np.clip(
-                (value - p.c_start[name][ik]) / p.denom[name][ik], 0.0, 1.0
-            )
+            frac = p.bounds[name].fractions(cols[name][inside], ik)
             if p.binned:
                 # np.add.at adds in element order, so chunk after chunk
                 # this replays the exact addition sequence one bincount
@@ -345,7 +326,7 @@ class StreamingFold:
         else:
             self._sigma_parts.append(sigma)
         self.n_folded += k
-        return k
+        return inside, sigma
 
     # -- outputs -----------------------------------------------------------
     def design(self) -> BinnedDesign:
@@ -360,7 +341,10 @@ class StreamingFold:
         Y = np.stack([np.concatenate(parts) for parts in self._frac_parts])
         return BinnedDesign(x=x, w=np.ones_like(x), Y=Y)
 
-    def _fit(self, grid_points: int, bandwidth: float) -> FoldedCounters:
+    def snapshot(
+        self, grid_points: int = 201, bandwidth: float = 0.015
+    ) -> FoldedCounters:
+        """Partial curves over the chunks folded so far."""
         p = self.prologue
         return fit_counter_curves(
             self.design(),
@@ -368,16 +352,10 @@ class StreamingFold:
             bandwidth=bandwidth,
             counters=p.counters,
             totals_mean={
-                name: float(p.totals[name].mean()) for name in p.counters
+                name: float(p.bounds[name].totals.mean()) for name in p.counters
             },
             duration_ns=p.instances.mean_duration_ns,
         )
-
-    def snapshot(
-        self, grid_points: int = 201, bandwidth: float = 0.015
-    ) -> FoldedCounters:
-        """Partial curves over the chunks folded so far."""
-        return self._fit(grid_points, bandwidth)
 
     def result(
         self, grid_points: int = 201, bandwidth: float = 0.015
@@ -391,9 +369,9 @@ class StreamingFold:
             )
         return StreamedFold(
             instances=p.instances,
-            counters=self._fit(grid_points, bandwidth),
-            totals=dict(p.totals),
-            degenerate=dict(p.degenerate),
+            counters=self.snapshot(grid_points, bandwidth),
+            totals={name: b.totals for name, b in p.bounds.items()},
+            degenerate={name: b.degenerate for name, b in p.bounds.items()},
             n_folded=self.n_folded,
         )
 
@@ -423,6 +401,8 @@ class StreamedFold:
     degenerate: dict[str, np.ndarray]
     #: samples that fell inside an instance and entered the design
     n_folded: int
+
+    fold_path: ClassVar[str] = STREAMED
 
     def digest(self) -> str:
         return fold_digest(self)
@@ -504,10 +484,9 @@ def stream_fold_trace(
     against the trace's own object records (as the resident fold plan
     does), and builds the bounded summaries with the
     :mod:`~repro.folding.stream_views` constants — ``RESERVOIR_CAPACITY``
-    reservoir points, seed 0, uniform weighting, ``LINE_SIGMA_BINS``
-    line bins — which the spec's cache key records.  Other reservoir
-    settings are an :class:`~repro.folding.stream_views.AddressStream`
-    concern.
+    uniform reservoir points, seed 0, ``LINE_SIGMA_BINS`` line bins —
+    which the spec's cache key records.  Other reservoir settings are
+    an :class:`~repro.folding.stream_views.AddressStream` concern.
 
     Parameters
     ----------
@@ -532,13 +511,14 @@ def stream_fold_trace(
     cache:
         Optional :class:`~repro.folding.cache.FoldCache`.  For the
         counters-only fold, keys are identical to the resident fold's,
-        so a trace folded resident serves streamed requests and vice
-        versa (a resident hit is adapted down to its counters-only
-        form; a streamed entry is treated as a miss by the resident
-        path, which overwrites it with the full report).  Multi-
-        direction streamed reports are keyed under ``kind="streamed"``
-        — their address/line products are bounded summaries, not the
-        resident views, so they must never alias a resident report.
+        so a trace folded resident serves streamed requests (a
+        resident hit hands out the streamed fold it contains, its
+        :attr:`~repro.folding.report.FoldedReport.performance`; a
+        streamed entry is a miss for the resident path, which
+        overwrites it with the full report).  Multi-direction streamed
+        reports are keyed under ``kind="streamed"`` — their
+        address/line products are bounded summaries, not the resident
+        views, so they must never alias a resident report.
     report_every:
         Emit a partial-curves snapshot to *on_snapshot* every this many
         chunks of the accumulation pass.
@@ -547,13 +527,12 @@ def stream_fold_trace(
     """
     spec = replace(spec or FoldSpec(), streaming=True, **fields)
     trace = source if isinstance(source, Trace) else Trace.load(source)
-    dirs = spec.directions
     key = None
     if cache is not None:
         key = cache.key(trace.digest(), spec)
-        hit = _adapt_cache_hit(cache.get(key), dirs)
-        if hit is not None:
-            return hit
+        hit = cache.get(key)
+        if hit is not None and serves(hit.fold_path, spec.path):
+            return hit if hit.fold_path == spec.path else hit.performance
     acc, addr_stream, line_stream = stream_passes(
         trace,
         spec,
@@ -562,12 +541,12 @@ def stream_fold_trace(
         on_snapshot=on_snapshot,
     )
     result = acc.result(spec.grid_points, spec.bandwidth)
-    if dirs is not None:
+    if spec.path == STREAMED_REPORT:
         result = StreamedReport(
             performance=result,
             addresses=addr_stream.result() if addr_stream is not None else None,
             lines=line_stream.result() if line_stream is not None else None,
-            directions=dirs,
+            directions=spec.directions,
         )
     if key is not None:
         cache.put(key, result)
@@ -593,12 +572,9 @@ def stream_passes(
     *on_snapshot* partial curves; :func:`stream_fold_trace` documents
     the other arguments.
     """
-    dirs = spec.directions
-    want_address = dirs is not None and "address" in dirs
-    want_lines = dirs is not None and "lines" in dirs
-    instances = instances_from_iterations(trace)
-    if spec.prune_tolerance is not None and instances.n >= 3:
-        instances = instances.prune_outliers(spec.prune_tolerance)
+    dirs = spec.directions or ()
+    want_address = "address" in dirs
+    instances = fold_instances(trace, spec.prune_tolerance)
     names = ("time_ns", *SAMPLE_COUNTERS)
     pass1_names = names + (("address",) if want_address else ())
     prologue = build_prologue(
@@ -616,33 +592,25 @@ def stream_passes(
             DataObjectRegistry(trace.objects), prologue.addr_range
         )
         extras += ("address", "op", "source", "latency")
-    if want_lines:
+    if "lines" in dirs:
         line_stream = LineStream(trace.callstack)
         extras += ("callstack_id",)
-    starts, ends = instances.starts_ns, instances.ends_ns
     for chunk in trace.iter_sample_chunks(names + extras, chunk_rows):
-        acc.add_chunk(chunk)
-        if extras:
-            getter = (
-                chunk.column if hasattr(chunk, "column") else chunk.__getitem__
-            )
-            t = np.asarray(getter("time_ns"), dtype=np.float64)
-            idx, inside = _inside_mask(t, starts, ends)
-            if inside.any():
-                ik = idx[inside]
-                sigma = (t[inside] - starts[ik]) / (ends[ik] - starts[ik])
-                if addr_stream is not None:
-                    addr_stream.add(
-                        sigma,
-                        np.asarray(getter("address"))[inside],
-                        np.asarray(getter("op"))[inside],
-                        np.asarray(getter("source"))[inside],
-                        np.asarray(getter("latency"))[inside],
-                    )
-                if line_stream is not None:
-                    line_stream.add(
-                        sigma, np.asarray(getter("callstack_id"))[inside]
-                    )
+        inside, sigma = acc.add_chunk(chunk)
+        if extras and sigma.size:
+            getter = _getter(chunk)
+            if addr_stream is not None:
+                addr_stream.add(
+                    sigma,
+                    np.asarray(getter("address"))[inside],
+                    np.asarray(getter("op"))[inside],
+                    np.asarray(getter("source"))[inside],
+                    np.asarray(getter("latency"))[inside],
+                )
+            if line_stream is not None:
+                line_stream.add(
+                    sigma, np.asarray(getter("callstack_id"))[inside]
+                )
         if (
             report_every
             and on_snapshot is not None
@@ -651,29 +619,3 @@ def stream_passes(
         ):
             on_snapshot(acc.snapshot(spec.grid_points, spec.bandwidth))
     return acc, addr_stream, line_stream
-
-
-def _adapt_cache_hit(hit, dirs) -> StreamedFold | StreamedReport | None:
-    """A cache entry as the streamed product for *dirs*, if it can serve.
-
-    Multi-direction requests take only a :class:`StreamedReport`.  For
-    counters-only requests streamed entries pass through, and a
-    resident :class:`~repro.folding.report.FoldedReport` stored under
-    the same key is adapted down to its counters-only form.  Anything
-    else is a miss.
-    """
-    if dirs is not None:
-        return hit if isinstance(hit, StreamedReport) else None
-    if isinstance(hit, StreamedFold):
-        return hit
-    from repro.folding.report import FoldedReport
-
-    if isinstance(hit, FoldedReport):
-        return StreamedFold(
-            instances=hit.instances,
-            counters=hit.counters,
-            totals=dict(hit.totals),
-            degenerate=dict(hit.degenerate),
-            n_folded=hit.n_folded,
-        )
-    return None

@@ -13,7 +13,7 @@ Each direction keeps a different kind of bounded state:
   bit-identical to the resident fold (verified by digest).
 * **Address, scatter part** — the full (σ, address) scatter is O(kept
   samples), so it cannot be held exactly.  Two bounded summaries stand
-  in for it: a deterministic seeded weighted reservoir
+  in for it: a deterministic seeded uniform reservoir
   (:class:`AddressReservoir`, for point rendering) and a fixed
   (address-band × σ-bin) integer density sketch
   (:class:`DensitySketch`, for exact-bin density).  Both are
@@ -40,12 +40,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from repro.extrae.schema import DataSource, MemOp
-from repro.folding.address import FoldedAddresses
+from repro.folding.address import AddressQueries, FoldedAddresses
 from repro.folding.lines import FoldedLines, LineTableBuilder
+from repro.folding.spec import STREAMED_REPORT
 from repro.objects.registry import DataObjectRegistry
 
 __all__ = [
@@ -93,6 +95,18 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     x = (x ^ (x >> np.uint64(30))) * _SPLITMIX_1
     x = (x ^ (x >> np.uint64(27))) * _SPLITMIX_2
     return x ^ (x >> np.uint64(31))
+
+
+def _sigma_bin(sigma: np.ndarray, bins: int) -> np.ndarray:
+    """The σ-bin of each σ in [0, 1) over *bins* equal bins."""
+    return np.minimum(
+        (np.asarray(sigma, dtype=np.float64) * bins).astype(np.int64), bins - 1
+    )
+
+
+def _key_order(table: list) -> np.ndarray:
+    """Row indices of *table* in sorted-key order."""
+    return np.array(sorted(range(len(table)), key=table.__getitem__), dtype=np.int64)
 
 
 def _hash_arrays(*arrays: np.ndarray) -> "hashlib._Hash":
@@ -202,14 +216,6 @@ class AddressAccounting:
 # Address direction: bounded scatter summaries.
 # ---------------------------------------------------------------------------
 
-_RESERVOIR_COLUMNS = (
-    "sigma",
-    "address",
-    "op",
-    "source",
-    "latency",
-    "object_index",
-)
 _COLUMN_DTYPES = {
     "sigma": np.float64,
     "address": np.uint64,
@@ -218,37 +224,28 @@ _COLUMN_DTYPES = {
     "latency": np.float64,
     "object_index": np.int64,
 }
+_RESERVOIR_COLUMNS = tuple(_COLUMN_DTYPES)
 
 
 class AddressReservoir:
-    """Deterministic weighted reservoir over the (σ, address) scatter.
+    """Deterministic uniform reservoir over the (σ, address) scatter.
 
-    Efraimidis–Spirakis A-Res with the randomness replaced by a
-    splitmix64 hash of ``(seed, global kept index)``: sample *i* gets
-    ``u_i = ((h_i >> 11) + 1) · 2⁻⁵³ ∈ (0, 1]`` and key
-    ``ln(u_i) / w_i``; the reservoir holds the ``capacity`` samples
-    with the largest keys.  Because the key depends only on the seed
-    and the sample's global index, the surviving set is the global
+    Efraimidis–Spirakis A-Res with unit weights and the randomness
+    replaced by a splitmix64 hash of ``(seed, global kept index)``:
+    sample *i* gets ``u_i = ((h_i >> 11) + 1) · 2⁻⁵³ ∈ (0, 1]`` and key
+    ``ln(u_i)``; the reservoir holds the ``capacity`` samples with the
+    largest keys.  Because the key depends only on the seed and the
+    sample's global index, the surviving set is the global
     top-``capacity`` regardless of how the stream was chunked —
-    bit-identical across chunk sizes.  With ``weighting="uniform"``
-    (``w = 1``) the reservoir is a uniform sample, faithful to point
-    density; ``"latency"`` (``w = 1 + latency``) biases retention
-    toward slow accesses for hot-spot rendering.
+    bit-identical across chunk sizes — and a uniform sample, faithful
+    to point density.
     """
 
-    def __init__(
-        self,
-        capacity: int = RESERVOIR_CAPACITY,
-        seed: int = 0,
-        weighting: str = "uniform",
-    ) -> None:
+    def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int = 0) -> None:
         if capacity < 1:
             raise ValueError("reservoir capacity must be positive")
-        if weighting not in ("uniform", "latency"):
-            raise ValueError(f"unknown reservoir weighting {weighting!r}")
         self.capacity = int(capacity)
         self.seed = int(seed)
-        self.weighting = weighting
         self._keys = np.empty(0, dtype=np.float64)
         self._index = np.empty(0, dtype=np.int64)
         self._cols = {
@@ -256,14 +253,10 @@ class AddressReservoir:
             for name in _RESERVOIR_COLUMNS
         }
 
-    def _keys_for(self, index: np.ndarray, latency: np.ndarray) -> np.ndarray:
+    def _keys_for(self, index: np.ndarray) -> np.ndarray:
         base = (self.seed * _SPLITMIX_GAMMA) % (1 << 64)
         h = _mix64(np.uint64(base) + index.astype(np.uint64))
-        u = ((h >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        keys = np.log(u)
-        if self.weighting == "latency":
-            keys = keys / (1.0 + np.asarray(latency, dtype=np.float64))
-        return keys
+        return np.log(((h >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53)
 
     def add(self, start_index: int, **columns: np.ndarray) -> None:
         """Offer a chunk of kept samples (global indices start at
@@ -272,9 +265,7 @@ class AddressReservoir:
         if not n:
             return
         index = start_index + np.arange(n, dtype=np.int64)
-        keys = np.concatenate(
-            [self._keys, self._keys_for(index, columns["latency"])]
-        )
+        keys = np.concatenate([self._keys, self._keys_for(index)])
         index = np.concatenate([self._index, index])
         cols = {
             name: np.concatenate(
@@ -346,20 +337,23 @@ class DensitySketch:
     def n(self) -> int:
         return int(self.counts.sum())
 
-    def add(self, sigma: np.ndarray, address: np.ndarray) -> None:
-        sigma = np.asarray(sigma, dtype=np.float64)
-        if not sigma.size:
-            return
+    def band_of(self, address: np.ndarray) -> np.ndarray:
+        """The address band of each address."""
         address = np.asarray(address).astype(np.uint64)
         span = np.uint64(self.hi - self.lo + 1)
         # addresses stay < 2^48 and bands ≤ 2^16, so the product fits
         # comfortably in uint64 — exact integer band index.
         band = ((address - np.uint64(self.lo)) * np.uint64(self.bands)) // span
-        band = np.minimum(band.astype(np.int64), self.bands - 1)
-        sbin = np.minimum(
-            (sigma * self.sigma_bins).astype(np.int64), self.sigma_bins - 1
+        return np.minimum(band.astype(np.int64), self.bands - 1)
+
+    def add(self, sigma: np.ndarray, address: np.ndarray) -> None:
+        if not np.asarray(sigma).size:
+            return
+        np.add.at(
+            self.counts,
+            (self.band_of(address), _sigma_bin(sigma, self.sigma_bins)),
+            1,
         )
-        np.add.at(self.counts, (band, sbin), 1)
 
     def band_edges(self) -> np.ndarray:
         """The ``bands + 1`` address edges of the sketch rows."""
@@ -402,16 +396,17 @@ def sketch_from_scatter(
 
 
 @dataclass(frozen=True)
-class StreamedAddresses:
+class StreamedAddresses(AddressQueries):
     """The streamed stand-in for :class:`FoldedAddresses`.
 
     The *exact* per-object/source/op/latency accounting plus the two
     bounded scatter summaries.  The reservoir columns mirror the
     resident scatter's columns (same names, same dtypes) so rendering
-    and export code can treat either; analyses that were exact on the
-    resident scatter but touch individual points (``sweep_of``,
-    ``stores_in_range``) run on the reservoir subsample here and are
-    approximate, while counts via :attr:`accounting` stay exact.
+    and export code can treat either; the point queries it shares with
+    the resident scatter (:class:`~repro.folding.address.AddressQueries`:
+    ``sweep_of``, ``stores_in_range``, …) run on the reservoir
+    subsample here and are approximate, while counts via
+    :attr:`accounting` stay exact.
     """
 
     accounting: AddressAccounting
@@ -428,7 +423,6 @@ class StreamedAddresses:
     kept_index: np.ndarray
     capacity: int
     seed: int
-    weighting: str
 
     @property
     def n(self) -> int:
@@ -440,38 +434,10 @@ class StreamedAddresses:
         """Exact number of streamed samples (accounting side)."""
         return self.accounting.n
 
-    @property
-    def loads(self) -> np.ndarray:
-        return self.op == int(MemOp.LOAD)
-
-    @property
-    def stores(self) -> np.ndarray:
-        return self.op == int(MemOp.STORE)
-
     def matched_fraction(self) -> float:
         """Exact matched fraction, from the accounting (not the
         reservoir)."""
         return self.accounting.matched_fraction()
-
-    def in_range(self, lo: int, hi: int) -> np.ndarray:
-        return (self.address >= lo) & (self.address < hi)
-
-    def stores_in_range(self, lo: int, hi: int) -> int:
-        """Sampled stores within a range, over the *reservoir* points."""
-        return int((self.stores & self.in_range(lo, hi)).sum())
-
-    def object_samples(self, name: str) -> np.ndarray:
-        """Reservoir-point mask for the object called *name*."""
-        return self.object_index == self.registry.index_of(name)
-
-    def sweep_of(self, mask: np.ndarray) -> tuple[float, float]:
-        """Linear sweep fit over masked reservoir points."""
-        if mask.sum() < 2:
-            raise ValueError("need at least two samples to fit a sweep")
-        slope, intercept = np.polyfit(
-            self.sigma[mask], self.address[mask].astype(np.float64), 1
-        )
-        return float(intercept), float(slope)
 
     def digest(self) -> str:
         """Hex SHA-256 over accounting, sketch and reservoir state."""
@@ -486,9 +452,9 @@ class StreamedAddresses:
         )
         h.update(self.accounting.digest().encode())
         h.update(self.sketch.digest().encode())
-        h.update(
-            f"{self.capacity}:{self.seed}:{self.weighting}".encode()
-        )
+        # The reservoir was once optionally latency-weighted; the
+        # weighting stays in the hash so digests keep their values.
+        h.update(f"{self.capacity}:{self.seed}:uniform".encode())
         return h.hexdigest()
 
 
@@ -507,13 +473,12 @@ class AddressStream:
         *,
         capacity: int = RESERVOIR_CAPACITY,
         seed: int = 0,
-        weighting: str = "uniform",
         bands: int = SKETCH_BANDS,
         sigma_bins: int = SKETCH_SIGMA_BINS,
     ) -> None:
         self.registry = registry
         self.accounting = AddressAccounting.empty(len(registry))
-        self.reservoir = AddressReservoir(capacity, seed, weighting)
+        self.reservoir = AddressReservoir(capacity, seed)
         self.sketch = DensitySketch.empty(
             addr_range[0], addr_range[1], bands, sigma_bins
         )
@@ -554,7 +519,6 @@ class AddressStream:
             kept_index=kept_index,
             capacity=self.reservoir.capacity,
             seed=self.reservoir.seed,
-            weighting=self.reservoir.weighting,
             **cols,
         )
 
@@ -639,21 +603,10 @@ class StreamedLines:
         the digest order-independent, so the two sides compare equal
         iff the counts agree.
         """
-        line_order = np.array(
-            sorted(range(len(self.line_table)), key=self.line_table.__getitem__),
-            dtype=np.int64,
-        )
-        region_order = np.array(
-            sorted(
-                range(len(self.region_table)), key=self.region_table.__getitem__
-            ),
-            dtype=np.int64,
-        )
+        line_order = _key_order(self.line_table)
+        region_order = _key_order(self.region_table)
         h = _hash_arrays(
-            self.line_counts[line_order] if len(line_order) else self.line_counts,
-            self.region_counts[region_order]
-            if len(region_order)
-            else self.region_counts,
+            self.line_counts[line_order], self.region_counts[region_order]
         )
         for i in line_order:
             h.update(repr(self.line_table[int(i)]).encode())
@@ -698,9 +651,7 @@ class LineStream:
         self._region_counts = self._grown(
             self._region_counts, len(self.builder.region_table)
         )
-        sbin = np.minimum(
-            (sigma * self.sigma_bins).astype(np.int64), self.sigma_bins - 1
-        )
+        sbin = _sigma_bin(sigma, self.sigma_bins)
         np.add.at(self._line_counts, (line_id, sbin), 1)
         np.add.at(self._region_counts, (region_id, sbin), 1)
 
@@ -723,12 +674,7 @@ def lines_from_folded(
         (len(lines.region_table), sigma_bins), dtype=np.int64
     )
     if lines.n:
-        sbin = np.minimum(
-            (np.asarray(lines.sigma, dtype=np.float64) * sigma_bins).astype(
-                np.int64
-            ),
-            sigma_bins - 1,
-        )
+        sbin = _sigma_bin(lines.sigma, sigma_bins)
         np.add.at(line_counts, (lines.line_id, sbin), 1)
         np.add.at(region_counts, (lines.region_id, sbin), 1)
     return StreamedLines(
@@ -758,6 +704,8 @@ class StreamedReport:
     addresses: StreamedAddresses | None
     lines: StreamedLines | None
     directions: tuple[str, ...]
+
+    fold_path: ClassVar[str] = STREAMED_REPORT
 
     @property
     def counters(self):
@@ -794,7 +742,7 @@ class StreamedReport:
             lines.append(
                 f"addresses: {a.n_folded} samples "
                 f"({a.matched_fraction():.1%} matched), "
-                f"reservoir {a.n}/{a.capacity} ({a.weighting}), "
+                f"reservoir {a.n}/{a.capacity} (uniform), "
                 f"sketch {a.sketch.bands}x{a.sketch.sigma_bins}"
             )
         if self.lines is not None:
@@ -873,14 +821,9 @@ def measure_address_fidelity(
         np.abs(sketch.band_density() - resident_density).max()
     )
     if streamed.n:
-        span = np.uint64(sketch.hi - sketch.lo + 1)
-        band = (
-            (streamed.address - np.uint64(sketch.lo))
-            * np.uint64(sketch.bands)
-        ) // span
-        band = np.minimum(band.astype(np.int64), sketch.bands - 1)
         reservoir_density = (
-            np.bincount(band, minlength=sketch.bands) / streamed.n
+            np.bincount(sketch.band_of(streamed.address), minlength=sketch.bands)
+            / streamed.n
         )
     else:
         reservoir_density = np.zeros(sketch.bands)

@@ -22,7 +22,7 @@ from repro.analysis.figures import Figure1, build_figure1
 from repro.extrae.trace import Trace
 from repro.extrae.tracer import Tracer, TracerConfig
 from repro.folding.report import FoldedReport, fold_trace
-from repro.folding.spec import FoldSpec
+from repro.folding.spec import RESIDENT, FoldSpec
 from repro.memsim.engines import ENGINE_NAMES, make_engine
 from repro.memsim.hierarchy import HierarchyConfig
 from repro.simproc.calibration import MachineCalibration
@@ -182,10 +182,7 @@ def analyze_hpcg(
     repeated analyses of the same trace from disk.
     """
     spec = replace(spec or FoldSpec(), **fields)
-    if spec.streaming or spec.rep_budget is not None:
-        raise ValueError(
-            "the Figure-1 analysis needs the resident report — "
-            "streaming and rep_budget do not apply"
-        )
+    if spec.path != RESIDENT:
+        raise ValueError(f"the Figure-1 analysis needs a resident fold, not {spec.path}")
     report = fold_trace(trace, spec, cache=cache)
     return report, build_figure1(report)

@@ -57,7 +57,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.folding.cache import FoldCache
-from repro.folding.spec import DIRECTIONS, FoldSpec
+from repro.folding.spec import DIRECTIONS, FoldSpec, serves
 from repro.repo import RepoError, TraceRepo
 from repro.service.payloads import PAYLOAD_VERSION, canonical_bytes, sealed_bytes
 from repro.service.tables import SharedTraceCache
@@ -112,10 +112,8 @@ def _fold_request(query: dict) -> tuple[str, FoldSpec, int]:
         raise HttpError(400, f"bad fold parameter: {exc}") from exc
     if points < 0:
         raise HttpError(400, f"points must be >= 0, got {points}")
-    if direction != "counters" and (spec.streaming or spec.rep_budget):
-        raise HttpError(
-            400, "stream= and reps= only apply to direction=counters"
-        )
+    if not serves(spec.path, direction):
+        raise HttpError(400, f"a {spec.path} fold has no {direction} payload")
     return direction, spec, points
 
 

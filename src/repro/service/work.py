@@ -34,8 +34,8 @@ from functools import cache
 from repro.extrae.trace import Trace
 from repro.folding.cache import FoldCache
 from repro.folding.plan import FoldPlan
-from repro.folding.report import FoldedReport, fold_trace
-from repro.folding.spec import FoldSpec
+from repro.folding.report import fold_trace
+from repro.folding.spec import RESIDENT, STREAMED, FoldSpec, serves
 from repro.folding.stream import StreamingFold, stream_passes
 from repro.service.payloads import fold_body
 
@@ -79,24 +79,25 @@ def fold_payload_job(
 ) -> tuple[bytes, bool]:
     """The *direction* payload of the container at *path* folded by *spec*.
 
-    Returns ``(canonical body bytes, folded)``.  The cache entry is
+    Returns ``(canonical body bytes, folded)``; a direction the fold
+    cannot serve (:func:`~repro.folding.spec.serves`) raises
+    :class:`ValueError` before anything is read.  The cache entry is
     addressed by *digest*, the container's content digest as the
     repository resolved it: a hit hashes nothing, and a fold is stored
     under the same key, so the trace is never hashed again.  The trace
     is folded only on a miss, or when the entry cannot serve
-    *direction*: only the resident :class:`FoldedReport` reproduces
-    the exact address and line payloads, while any entry under the key
-    serves the counters.  A fold that refits this worker's kept plan
-    or design still counts as folded, and is stored like any other.
-    *points* bounds the scatter/track rows of address/lines payloads
+    *direction* (a counters-only entry under a resident key).  A fold
+    that refits this worker's kept plan or design still counts as
+    folded, and is stored like any other.  *points* bounds the
+    scatter/track rows of address/lines payloads
     (:func:`~repro.service.payloads.fold_payload`).
     """
+    if not serves(spec.path, direction):
+        raise ValueError(f"a {spec.path} fold has no {direction} payload")
     fold_cache = _cache(cache_dir)
     key = fold_cache.key(digest, spec)
     hit = fold_cache.get(key)
-    if hit is not None and (
-        direction == "counters" or isinstance(hit, FoldedReport)
-    ):
+    if hit is not None and serves(hit.fold_path, direction):
         return fold_body(hit, direction, points), False
     fold = _fold(path, digest, spec)
     fold_cache.put(key, fold)
@@ -109,13 +110,13 @@ def _fold(path: str, digest: str, spec: FoldSpec):
     Representative folds and multi-direction streamed reports fold the
     trace every time.
     """
-    if spec.rep_budget is None and not spec.streaming:
+    if spec.path == RESIDENT:
         plan = _plan.get(
             (digest, spec.prune_tolerance, spec.align_regions),
             lambda: _build_plan(path, spec),
         )
         return plan.fold(spec.grid_points, spec.bandwidth)
-    if spec.streaming and spec.directions is None:
+    if spec.path == STREAMED:
         acc = _streamed.get(
             (digest, spec.prune_tolerance), lambda: _build_streamed(path, spec)
         )

@@ -92,10 +92,9 @@ class Machine:
         a cold Haswell-like precise hierarchy.
     calibration:
         Clock/pipeline constants.
-    pebs:
-        Sampling backend (any :class:`~repro.simproc.sampler.Sampler`,
-        historically a PEBS sampler — ``sampler`` is the preferred
-        alias), or ``None`` to run without sampling.
+    sampler:
+        Sampling backend (any :class:`~repro.simproc.sampler.Sampler`),
+        or ``None`` to run without sampling.
     multiplex:
         Event-group rotation; ``None`` keeps every sample.
     """
@@ -104,21 +103,18 @@ class Machine:
         self,
         engine=None,
         calibration: MachineCalibration | None = None,
-        pebs: Sampler | None = None,
+        sampler: Sampler | None = None,
         multiplex: MultiplexSchedule | None = None,
         noise: "NoiseModel | None" = None,
         noise_rng=None,
-        sampler: Sampler | None = None,
     ) -> None:
         if engine is None:
             engine = PreciseEngine()
         elif isinstance(engine, str):
             engine = make_engine(engine)
-        if pebs is not None and sampler is not None:
-            raise ValueError("pass either sampler= or its alias pebs=, not both")
         self.engine = engine
         self.calibration = calibration or MachineCalibration()
-        self.sampler = sampler if sampler is not None else pebs
+        self.sampler = sampler
         self.multiplex = multiplex
         self.noise = noise
         self._noise_rng = noise_rng or np.random.default_rng(0)
@@ -130,11 +126,6 @@ class Machine:
         self.noise_ns_injected = 0.0
 
     # ------------------------------------------------------------------
-    @property
-    def pebs(self) -> Sampler | None:
-        """Backward-compatible alias for :attr:`sampler`."""
-        return self.sampler
-
     @property
     def time_ns(self) -> float:
         """Wall-clock position of the machine."""

@@ -4,6 +4,8 @@ Expensive artifacts (traced + folded HPCG runs) are session-scoped so
 the analysis/folding test modules share one simulation.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.figures import build_figure1
@@ -15,6 +17,20 @@ from repro.workloads import HpcgConfig, HpcgWorkload
 
 #: Sampling backends the cross-backend differential matrix runs over.
 SAMPLER_BACKENDS = tuple(SAMPLER_NAMES)
+
+#: Committed v1 containers (v1 is read-only), per sampling backend, and
+#: the golden traces they hold: each written once by the v1 writer from
+#: its twin, and kept out of ``tests/golden/``, which the golden harness
+#: regenerates.
+V1_CONTAINERS = {
+    sampler: Path(__file__).parent / "fixtures" / f"stream_analytic{suffix}_v1.bsctrace"
+    for sampler, suffix in (("pebs", ""), ("spe", "_spe"))
+}
+V1_TWINS = {
+    sampler: Path(__file__).parent / "golden" / f"stream_analytic{suffix}.bsctrace"
+    for sampler, suffix in (("pebs", ""), ("spe", "_spe"))
+}
+V1_CONTAINER, V1_TWIN = V1_CONTAINERS["pebs"], V1_TWINS["pebs"]
 
 
 @pytest.fixture(params=SAMPLER_BACKENDS)

@@ -43,7 +43,7 @@ def build_session(
     machine = Machine(
         engine=PreciseEngine(small_hierarchy()),
         calibration=MachineCalibration(frequency_hz=frequency_hz),
-        pebs=config.build_pebs(rng),
+        sampler=config.build_pebs(rng),
         multiplex=config.build_multiplex(),
     )
     return Tracer(machine, allocator, image, config)

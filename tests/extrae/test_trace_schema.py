@@ -1,12 +1,15 @@
 """Trace schema versioning: explicit, rejected when unknown."""
 
 import json
+import shutil
 import zipfile
 
 import numpy as np
 import pytest
 
 from repro.extrae.trace import TRACE_SCHEMA_VERSION, Trace, TraceSchemaError
+
+from tests.conftest import V1_CONTAINER
 
 from .conftest import build_session
 
@@ -51,7 +54,10 @@ def trace_path(tmp_path):
 
 @pytest.fixture()
 def v1_trace_path(tmp_path):
-    return small_trace().save(tmp_path / "t1.bsctrace", version=1)
+    """A copy of the committed v1 container (v1 is read-only)."""
+    path = tmp_path / "t1.bsctrace"
+    shutil.copyfile(V1_CONTAINER, path)
+    return path
 
 
 class TestSchemaVersion:

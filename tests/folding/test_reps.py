@@ -26,11 +26,8 @@ from repro.folding.extrapolate import (
     measure_fidelity,
 )
 from repro.folding.report import FoldedReport, fold_trace
-from repro.folding.reps import (
-    Representatives,
-    derive_instances,
-    select_representatives,
-)
+from repro.folding.detect import fold_instances
+from repro.folding.reps import Representatives, select_representatives
 from repro.folding.spec import FoldSpec
 from repro.folding.stream import fold_digest
 from repro.pipeline import run_workload
@@ -66,7 +63,7 @@ def trace():
 
 @pytest.fixture(scope="module")
 def instances(trace):
-    return derive_instances(trace)
+    return fold_instances(trace)
 
 
 class TestSelection:

@@ -20,6 +20,7 @@ import pytest
 
 from repro.folding.cache import FOLD_CACHE_VERSION, FoldCache
 from repro.folding.report import FoldedReport, fold_trace
+from repro.folding import spec as fs
 from repro.folding.spec import FoldSpec
 from repro.folding.stream import fold_digest, stream_fold_trace
 from repro.folding.stream_views import StreamedReport
@@ -75,6 +76,25 @@ class TestChecks:
         assert FoldSpec(streaming=True, directions="lines").directions == (
             "counters", "lines"
         )
+
+    def test_path_names_the_fold_and_what_it_serves(self, trace):
+        paths = {
+            fs.RESIDENT: FoldSpec(align_regions=("triad",)),
+            fs.STREAMED: FoldSpec(streaming=True, directions=("counters",)),
+            fs.STREAMED_REPORT: FoldSpec(streaming=True, directions="lines"),
+            fs.REPRESENTATIVE: FoldSpec(rep_budget=2),
+        }
+        for path, spec in paths.items():
+            assert spec.path == path
+            assert [d for d in fs.DIRECTIONS if fs.serves(path, d)] == (
+                list(fs.DIRECTIONS) if path == fs.RESIDENT else ["counters"]
+            )
+            # each product names the path that folds it
+            assert fold_trace(trace, spec).fold_path == path
+        # only the resident report stands in for another fold
+        assert [
+            (a, b) for a in paths for b in paths if a != b and fs.serves(a, b)
+        ] == [(fs.RESIDENT, fs.STREAMED)]
 
     def test_frozen_and_hashable(self):
         spec = FoldSpec(grid_points=101)
@@ -168,7 +188,7 @@ class TestCacheKeys:
         ) == (
             report.addresses.capacity,
             report.addresses.seed,
-            report.addresses.weighting,
+            "uniform",
             report.lines.sigma_bins,
         )
 

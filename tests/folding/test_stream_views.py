@@ -182,12 +182,9 @@ class TestChunkInvariance:
         fed = fed_addresses(resident, 333)
         assert fed.digest() == streamed.addresses.digest()
 
-    @pytest.mark.parametrize("weighting", ["uniform", "latency"])
-    def test_small_reservoir_invariant(self, resident, weighting):
+    def test_small_reservoir_invariant(self, resident):
         reports = [
-            fed_addresses(
-                resident, chunk_rows, capacity=64, seed=7, weighting=weighting
-            )
+            fed_addresses(resident, chunk_rows, capacity=64, seed=7)
             for chunk_rows in (13, 997)
         ]
         assert reports[0].digest() == reports[1].digest()
@@ -248,10 +245,6 @@ class TestBoundedSummaryUnits:
     def test_reservoir_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             AddressReservoir(capacity=0)
-
-    def test_reservoir_rejects_bad_weighting(self):
-        with pytest.raises(ValueError):
-            AddressReservoir(weighting="bogus")
 
     def test_sketch_rejects_empty_span(self):
         with pytest.raises(ValueError):

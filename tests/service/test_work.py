@@ -12,7 +12,7 @@ from repro.folding.report import fold_trace
 from repro.folding.spec import DIRECTIONS, FoldSpec
 from repro.folding.stream import StreamedFold
 from repro.repo import TraceRepo
-from repro.service import AnalysisServer, ServiceClient, work
+from repro.service import AnalysisServer, ServiceClient, server, work
 from repro.service.payloads import canonical_bytes, fold_payload, seal
 
 from tests.extrae.test_trace_fastpath import run_trace
@@ -104,6 +104,56 @@ def test_counters_only_entry_serves_counters_not_addresses(traced, stored, tmp_p
     want = _direct(traced, "address")
     assert _job(stored, tmp_path, "address") == (want, True)
     assert _job(stored, tmp_path, "address") == (want, False)
+
+
+#: One spec and one query per fold path.  The service has no query key
+#: for ``directions``; the table adds one, so the server's check runs
+#: for the streamed report too.
+FOLD_PATHS = {
+    "resident": (FoldSpec(), {}),
+    "streamed": (FoldSpec(streaming=True), {"stream": "1"}),
+    "streamed report": (
+        FoldSpec(streaming=True, directions=DIRECTIONS),
+        {"stream": "1", "directions": ",".join(DIRECTIONS)},
+    ),
+    "representative": (FoldSpec(rep_budget=2), {"reps": "2"}),
+}
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+@pytest.mark.parametrize("path", list(FOLD_PATHS))
+def test_job_refuses_exactly_where_the_server_answers_400(
+    stored, tmp_path, monkeypatch, path, direction
+):
+    """Only the resident report has exact address and line payloads:
+    the job refuses every other pair before it reads anything, with
+    the check the server answers 400 by."""
+    spec, query = FOLD_PATHS[path]
+    monkeypatch.setitem(
+        server._SPEC_QUERY, "directions", ("directions", lambda v: v.split(","))
+    )
+    try:
+        parsed = server._fold_request({"direction": direction, **query})
+    except server.HttpError as exc:
+        assert exc.status == 400
+        answered_400 = True
+    else:
+        assert parsed == (direction, spec, 0)
+        answered_400 = False
+    assert answered_400 == (path != "resident" and direction != "counters")
+
+    if not answered_400:
+        body, folded = _job(stored, tmp_path, direction, spec)
+        assert folded and body.startswith(b"{")
+        return
+
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the job read the trace")
+
+    monkeypatch.setattr(Trace, "load", staticmethod(no_reading))
+    with pytest.raises(ValueError, match=f"a {path} fold has no {direction} payload"):
+        _job(stored, tmp_path, direction, spec)
+    assert not any(tmp_path.iterdir())
 
 
 def test_second_server_over_a_warm_cache_folds_nothing(traced, tmp_path):

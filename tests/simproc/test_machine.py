@@ -33,7 +33,7 @@ def make_machine(pebs=None, mpx=None, engine=None):
     return Machine(
         engine=engine or PreciseEngine(flat_config()),
         calibration=MachineCalibration(frequency_hz=1e9, issue_width=4.0),
-        pebs=pebs,
+        sampler=pebs,
         multiplex=mpx,
     )
 

@@ -14,6 +14,8 @@ from repro.cli import (
     main_validate,
 )
 
+from tests.conftest import V1_CONTAINER, V1_TWIN
+
 
 @pytest.fixture()
 def trace_file(tmp_path):
@@ -278,32 +280,26 @@ class TestTrace:
         assert "time_ns" in out
         assert "samples:" in out
 
-    def test_info_v1(self, trace_file, tmp_path, capsys):
-        from repro.extrae.trace import Trace
-
-        v1 = tmp_path / "v1.bsctrace"
-        Trace.load(trace_file).save(v1, version=1)
-        assert main_trace(["info", str(v1)]) == 0
+    def test_info_v1(self, capsys):
+        assert main_trace(["info", str(V1_CONTAINER)]) == 0
         out = capsys.readouterr().out
         assert "trace container v1" in out
         assert "deflate (npz)" in out
 
-    def test_convert_round_trip_verified(self, trace_file, tmp_path, capsys):
-        v1 = tmp_path / "v1.bsctrace"
-        v2 = tmp_path / "v2.bsctrace"
-        assert main_trace(
-            ["convert", str(trace_file), "-o", str(v1),
-             "--to-version", "1", "--verify"]
-        ) == 0
-        assert main_trace(
-            ["convert", str(v1), "-o", str(v2), "--to-version", "2",
-             "--compression", "deflate", "--verify"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert out.count("digest verified") == 2
+    def test_convert_round_trip_verified(self, tmp_path, capsys):
         from repro.extrae.trace import Trace
 
-        assert Trace.load(v2).digest() == Trace.load(trace_file).digest()
+        v2 = tmp_path / "v2.bsctrace"
+        again = tmp_path / "again.bsctrace"
+        assert main_trace(
+            ["convert", str(V1_CONTAINER), "-o", str(v2),
+             "--compression", "deflate", "--verify"]
+        ) == 0
+        assert main_trace(["convert", str(v2), "-o", str(again), "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("digest verified") == 2
+        assert Trace.load(again).digest() == Trace.load(V1_TWIN).digest()
+        assert Trace.load(V1_CONTAINER).digest() == Trace.load(V1_TWIN).digest()
 
     def test_run_honours_version_and_compression_flags(self, tmp_path):
         import json
@@ -317,12 +313,10 @@ class TestTrace:
             sidecar = json.loads(zf.read("trace.json"))
         assert sidecar["schema"] == 2
         assert sidecar["compression"] == "deflate"
-        v1 = tmp_path / "v1.bsctrace"
-        assert main_run(["--workload", "stream", "--nx", "16",
-                         "--iterations", "1", "--trace-version", "1",
-                         "-o", str(v1)]) == 0
-        with zipfile.ZipFile(v1) as zf:
-            assert json.loads(zf.read("trace.json"))["schema"] == 1
+        # v1 containers are read-only: there is no option to write one
+        with pytest.raises(SystemExit):
+            main_run(["--workload", "stream", "--trace-version", "1",
+                      "-o", str(tmp_path / "v1.bsctrace")])
 
     def test_trace_dispatch(self, trace_file):
         assert main(["trace", "info", str(trace_file)]) == 0
@@ -353,21 +347,16 @@ class TestTraceInfoLazy:
         assert "samples:" in out
         assert "time span:" in out
 
-    def test_v1_info_reads_only_npy_headers(
-        self, trace_file, tmp_path, capsys, monkeypatch
-    ):
+    def test_v1_info_reads_only_npy_headers(self, capsys, monkeypatch):
         from repro.extrae.trace import Trace
 
-        v1 = tmp_path / "v1.bsctrace"
-        trace = Trace.load(trace_file)
-        n_samples = trace.n_samples
-        trace.save(v1, version=1)
+        n_samples = Trace.load(V1_TWIN).n_samples
 
         def boom(cls, path):
             raise AssertionError("info eagerly loaded the whole trace")
 
         monkeypatch.setattr(Trace, "load", classmethod(boom))
-        assert main_trace(["info", str(v1)]) == 0
+        assert main_trace(["info", str(V1_CONTAINER)]) == 0
         out = capsys.readouterr().out
         assert f"samples:     {n_samples}" in out
 

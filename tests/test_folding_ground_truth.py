@@ -60,7 +60,7 @@ def folded_run():
     machine = Machine(
         engine=PreciseEngine(cfg),
         calibration=MachineCalibration(frequency_hz=FREQ, issue_width=ISSUE),
-        pebs=tracer_cfg.build_pebs(rng),
+        sampler=tracer_cfg.build_pebs(rng),
         multiplex=tracer_cfg.build_multiplex(),
     )
     tracer = Tracer(machine, Allocator(space), BinaryImage(space), tracer_cfg)

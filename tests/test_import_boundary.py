@@ -161,8 +161,8 @@ _RUNTIME_PROBE = textwrap.dedent(
 
         (entry,) = TraceRepo(root).list()
         resident = FoldSpec()
-        # A streamed report serves counters and address; the service
-        # asks a streamed fold for counters only.
+        # A streamed report serves the counters payload only; its fold
+        # still runs all three streamed directions.
         streamed = FoldSpec(
             streaming=True, directions=("counters", "address", "lines")
         )
@@ -170,7 +170,7 @@ _RUNTIME_PROBE = textwrap.dedent(
             (str(entry.path), entry.digest, direction, spec, 50, tmp + cache)
             for spec, cache, directions in (
                 (resident, "/cache-resident", ("counters", "address", "lines")),
-                (streamed, "/cache-streamed", ("counters", "address")),
+                (streamed, "/cache-streamed", ("counters",)),
             )
             for direction in directions
         ]
@@ -210,5 +210,5 @@ def test_reading_commands_and_fold_jobs_load_no_simulator(tmp_path):
     assert out["after_commands"] == []
     assert out["after_jobs"] == []
     assert out["added_by_jobs"] == []
-    assert out["folded"] == [True, False, False, True, True]
+    assert out["folded"] == [True, False, False, True]
     assert out["worker"] == []

@@ -113,7 +113,7 @@ class TestMachineInvariants:
         )
         machine = Machine(
             engine=AnalyticEngine(small_hierarchy(), rng=np.random.default_rng(1)),
-            pebs=pebs,
+            sampler=pebs,
         )
         total = 0
         for batch in batches:
@@ -131,7 +131,7 @@ class TestMachineInvariants:
         )
         machine = Machine(
             engine=AnalyticEngine(small_hierarchy(), rng=np.random.default_rng(1)),
-            pebs=pebs,
+            sampler=pebs,
         )
         for batch in batches:
             ex = machine.execute(batch)

@@ -24,7 +24,12 @@ from repro.workloads import HpcgConfig, HpcgWorkload
 from repro.workloads.randomaccess import RandomAccessConfig, RandomAccessWorkload
 from repro.workloads.stream import StreamConfig, StreamWorkload
 
-from tests.conftest import SAMPLER_BACKENDS, sampler_session_config
+from tests.conftest import (
+    SAMPLER_BACKENDS,
+    V1_CONTAINERS,
+    V1_TWINS,
+    sampler_session_config,
+)
 
 
 def small_workloads():
@@ -122,8 +127,13 @@ class TestStorageRoundTrip:
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_save_load_preserves_digest(self, sampler_backend, version, tmp_path):
-        trace = traced(sampler_backend)
-        path = trace.save(tmp_path / "t.bsctrace", version=version)
+        if version == 1:
+            # v1 is read-only: a committed v1 save of a golden trace
+            trace = Trace.load(V1_TWINS[sampler_backend])
+            path = V1_CONTAINERS[sampler_backend]
+        else:
+            trace = traced(sampler_backend)
+            path = trace.save(tmp_path / "t.bsctrace", version=version)
         loaded = Trace.load(path)
         assert loaded.digest() == trace.digest()
         assert loaded.metadata.get("sampler") == trace.metadata.get("sampler")
