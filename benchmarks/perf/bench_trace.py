@@ -5,8 +5,8 @@ against the seed implementation, which is kept verbatim below and
 installed by monkeypatching, so both paths run the same machine and
 RNG stream:
 
-* **end to end** — ``run_workload`` with chunked columnar recording,
-  incremental consolidation and a v2 ``ZIP_STORED`` save, vs the scalar
+* **end to end** — ``run_workload`` with columnar recording, in-place
+  consolidation and a v2 ``ZIP_STORED`` save, vs the scalar
   PEBS loop, per-counter interpolation, per-block Python buffering with
   a global concatenate + argsort, and the v1 deflated-npz save; gated
   at ``MIN_E2E_SPEEDUP``.  The two traces' content digests must be

@@ -5,21 +5,21 @@ A trace holds three kinds of data:
 * **punctual events** — region enters/exits, iteration markers,
   allocation/group events (:class:`~repro.extrae.events.TraceEvent`);
 * **sample blocks** — PEBS records with interpolated counters, appended
-  into chunked columnar buffers and consolidated on demand into a
+  into one columnar buffer and sorted in place on demand into a
   time-sorted :class:`SampleTable`;
 * **object records** — the data objects discovered by allocation
   interception, wrapping and the static scan.
 
 Recording is the acquisition hot path, so it never touches Python-level
 per-sample state: :meth:`Trace.add_samples` copies each block's columns
-into a growable preallocated buffer (amortized O(1) per sample), and
-consolidation merges the already-sorted prefix with the newly appended
-chunk incrementally — a fast in-place append when the chunk starts
-after the consolidated samples end (the overwhelmingly common case,
-since batches are emitted in time order), a single stable two-run merge
-otherwise.  Both paths are bit-identical to the historical global
-``concatenate`` + stable ``argsort``.  ``n_samples``/``duration_ns``
-and repeated ``digest()`` calls never force a rebuild.
+into one growable preallocated buffer (amortized O(1) per sample).
+Consolidation, which runs only when rows were appended since the last
+one, takes one stable ``argsort`` of the time column and permutes each
+column in place, one at a time: the rows end up in the stable sort of
+append order by time, and the trace is never held twice.
+``n_samples``, ``duration_ns`` and repeated ``digest()`` calls never
+force a sort.  A trace built by :meth:`Trace.load` or
+:meth:`Trace.from_parts` holds a finished table and records nothing.
 
 Serialization is schema-versioned via the ``"schema"`` field of the
 JSON sidecar.  :meth:`Trace.save` writes the **v2 container** — raw
@@ -228,9 +228,9 @@ class _ChunkBuffer:
     Python objects or a per-save reconcatenation.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
+    def __init__(self) -> None:
         self._n = 0
-        self._cap = int(capacity)
+        self._cap = 1024
         self._cols = {
             name: np.empty(self._cap, dtype=dt)
             for name, dt in _SAMPLE_COLUMNS.items()
@@ -257,18 +257,6 @@ class _ChunkBuffer:
             self._cols[name][self._n : end] = value
         self._n = end
 
-    def adopt(self, columns: dict[str, np.ndarray], n: int) -> None:
-        """Replace the contents with already-built full columns."""
-        self._cols = columns
-        self._n = n
-        self._cap = n
-
-    def clear(self) -> None:
-        self._n = 0
-
-    def last_time_ns(self) -> float:
-        return float(self._cols["time_ns"][self._n - 1])
-
     def view(self) -> dict[str, np.ndarray]:
         """Zero-copy views of the filled prefix of every column."""
         return {name: arr[: self._n] for name, arr in self._cols.items()}
@@ -287,16 +275,15 @@ class Trace:
         self._callstack_ids: dict[CallStack, int] = {}
         self._labels: list[str] = []
         self._label_ids: dict[str, int] = {}
-        # Recording state: _buf holds the consolidated (time-sorted)
-        # prefix, _pending the appended-but-unmerged chunk.  Both are
-        # None for traces adopting an external table (load/from_parts)
-        # until an append re-seeds them.
+        # Recording state: _buf holds every appended row, the first
+        # _sorted_rows of them in time order.  None for a trace holding
+        # a finished table (load/from_parts), which records nothing.
         self._buf: _ChunkBuffer | None = _ChunkBuffer()
-        self._pending: _ChunkBuffer | None = _ChunkBuffer()
+        self._sorted_rows = 0
         self._table: SampleTable | None = None
         self._digest: str | None = None
         self._index: TraceIndex | None = None
-        self._max_time_ns: float | None = None  # running sample-time max
+        self._max_time_ns: float | None = None  # cached sample-time max
 
     # -- intern tables ----------------------------------------------------
     def callstack_id(self, stack: CallStack) -> int:
@@ -353,9 +340,16 @@ class Trace:
     def add_samples(self, block: SampleBlock, callstack: CallStack) -> None:
         """Attach a sample block taken under *callstack*.
 
-        The block's columns are copied straight into the chunked append
-        buffer — the block object itself is not retained.
+        The block's columns are copied straight into the append buffer
+        — the block object itself is not retained.  Raises
+        ``ValueError`` on a trace built by :meth:`load` or
+        :meth:`from_parts`.
         """
+        if self._buf is None:
+            raise ValueError(
+                "cannot record samples into a trace built from a finished "
+                "table (Trace.load/Trace.from_parts)"
+            )
         cs_id = self.callstack_id(callstack)
         lbl_id = self.label_id(block.label)
         self._digest = None
@@ -363,11 +357,8 @@ class Trace:
         n = block.n
         if n == 0:
             return
-        if self._pending is None:
-            self._seed_buffers_from_table()
-        times = np.asarray(block.times_ns, dtype=np.float64)
         columns = {
-            "time_ns": times,
+            "time_ns": block.times_ns,
             "address": block.addresses,
             "op": np.int8(block.op),
             "source": block.sources,
@@ -377,45 +368,24 @@ class Trace:
         }
         for name in SAMPLE_COUNTERS:
             columns[name] = block.counters[name]
-        self._pending.append(n, columns)
+        self._buf.append(n, columns)
         self._table = None
-        m = float(times.max())
-        if self._max_time_ns is None or m > self._max_time_ns:
-            self._max_time_ns = m
+        self._max_time_ns = None
 
     def add_object(self, record: ObjectRecord) -> None:
         self.objects.append(record)
         self._digest = None
         self._index = None
 
-    def _seed_buffers_from_table(self) -> None:
-        """Re-enter recording mode on a trace built from external parts."""
-        table = self._table if self._table is not None else SampleTable.empty()
-        if isinstance(table, _LazySampleTable):
-            table = table.materialize()
-        buf = _ChunkBuffer(capacity=max(len(table), 1))
-        buf.adopt(
-            {
-                name: np.ascontiguousarray(
-                    table.column(name), dtype=_SAMPLE_COLUMNS[name]
-                )
-                for name in _SAMPLE_COLUMNS
-            },
-            len(table),
-        )
-        self._buf = buf
-        self._pending = _ChunkBuffer()
-        if len(table):
-            self._max_time_ns = float(np.max(table.time_ns))
-
     # -- pickling -----------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle the consolidated columnar form, not the buffers.
+        """Pickle the consolidated columnar form, not the buffer.
 
-        The append buffers exist only for recording (shipping their
-        slack capacity would bloat the payload), and lazy tables
-        reference an open file — so the pickled trace always carries a
-        plain, materialized, consolidated :class:`SampleTable`.
+        The append buffer exists only for recording (shipping its slack
+        capacity would bloat the payload), and lazy tables reference an
+        open file — so the pickled trace always carries a plain,
+        materialized, consolidated :class:`SampleTable`, and records
+        nothing once unpickled.
         """
         state = self.__dict__.copy()
         table = self.sample_table()
@@ -423,7 +393,6 @@ class Trace:
             table = table.materialize()
         state["_table"] = table
         state["_buf"] = None
-        state["_pending"] = None
         state["_index"] = None
         return state
 
@@ -448,8 +417,9 @@ class Trace:
         """
         if self._digest is not None:
             return self._digest
-        # Consolidate first: merging sample blocks interns their labels,
-        # which the sidecar must already reflect when it is hashed.
+        # Consolidate first: the seed path the equivalence suites
+        # install interns labels while it consolidates, and the sidecar
+        # must already reflect them when it is hashed.
         table = self.sample_table()
         h = hashlib.sha256()
         h.update(json.dumps(self._sidecar(schema=1), sort_keys=True).encode())
@@ -464,50 +434,34 @@ class Trace:
     @property
     def n_samples(self) -> int:
         if self._buf is not None:
-            return len(self._buf) + len(self._pending)
+            return len(self._buf)
         return len(self._table) if self._table is not None else 0
 
     def _consolidate(self) -> None:
-        """Merge the pending chunk into the sorted prefix.
+        """Sort the recorded rows by time, in place.
 
-        The pending chunk is stable-sorted on its own, then either
-        appended in place (when it starts at or after the prefix's last
-        timestamp — the common case, since batches are emitted in time
-        order) or merged with the prefix in one stable two-run pass.
-        Both are bit-identical to re-sorting everything globally with a
-        stable sort, because every prefix sample was appended before
-        every pending sample and therefore wins ties.
+        One stable ``argsort`` of the time column over every filled
+        row, then each column is permuted in place, one at a time, so
+        the sort needs the index and one column beyond the buffer.
+        Rows sorted by an earlier call sit first and keep their order
+        among ties, so the result is the stable sort of append order by
+        time, however often the trace was consolidated while recording.
         """
-        pending = self._pending
-        if pending is None or len(pending) == 0:
-            return
-        chunk = pending.view()
-        order = np.argsort(chunk["time_ns"], kind="stable")
-        chunk = {name: col[order] for name, col in chunk.items()}
-        buf = self._buf
-        if len(buf) == 0 or chunk["time_ns"][0] >= buf.last_time_ns():
-            buf.append(order.size, chunk)
-        else:
-            held = buf.view()
-            t_held, t_chunk = held["time_ns"], chunk["time_ns"]
-            n_held, n_chunk = t_held.size, t_chunk.size
-            # Stable two-run merge via searchsorted: prefix rows win
-            # ties (side="left"/"right"), matching a global stable sort.
-            pos_held = np.arange(n_held) + np.searchsorted(t_chunk, t_held, "left")
-            pos_chunk = np.arange(n_chunk) + np.searchsorted(t_held, t_chunk, "right")
-            merged: dict[str, np.ndarray] = {}
-            for name, dt in _SAMPLE_COLUMNS.items():
-                out = np.empty(n_held + n_chunk, dtype=dt)
-                out[pos_held] = held[name]
-                out[pos_chunk] = chunk[name]
-                merged[name] = out
-            buf.adopt(merged, n_held + n_chunk)
-        pending.clear()
-        self._table = None
+        columns = self._buf.view()
+        order = np.argsort(columns["time_ns"], kind="stable")
+        for col in columns.values():
+            col[:] = col[order]
+        self._sorted_rows = len(self._buf)
 
     def sample_table(self) -> SampleTable:
-        """All samples as one time-sorted columnar table (cached)."""
-        if self._pending is not None and len(self._pending):
+        """All samples as one time-sorted columnar table (cached).
+
+        On a trace that is still recording the table is a view of the
+        append buffer: the next consolidation after an ``add_samples``
+        sorts that buffer in place and may reorder a table taken
+        before it.
+        """
+        if self._buf is not None and len(self._buf) > self._sorted_rows:
             self._consolidate()
         if self._table is None:
             self._table = (
@@ -586,19 +540,18 @@ class Trace:
         if self.events:
             t.append(self.events[-1].time_ns)
         if self.n_samples:
-            t.append(self._sample_max_ns())
+            if self._max_time_ns is None:
+                # One reduction of the time column, cached until the
+                # next append: never a sort, one column touch on a
+                # lazily loaded table.
+                times = (
+                    self._buf.view()["time_ns"]
+                    if self._buf is not None
+                    else self._table.time_ns
+                )
+                self._max_time_ns = float(np.max(times))
+            t.append(self._max_time_ns)
         return max(t) if t else 0.0
-
-    def _sample_max_ns(self) -> float:
-        """Latest sample timestamp, without forcing consolidation.
-
-        Recording traces track the running max at append time; traces
-        adopting an external table read just the ``time_ns`` column
-        (one column touch on a lazy table, never a full rebuild).
-        """
-        if self._max_time_ns is None:
-            self._max_time_ns = float(np.max(self._table.time_ns))
-        return self._max_time_ns
 
     # -- serialization ------------------------------------------------------------
     def _sidecar(self, schema: int = TRACE_SCHEMA_VERSION) -> dict:
@@ -696,7 +649,8 @@ class Trace:
         golden-fixture perturbation helper in
         :mod:`repro.validate.golden`).  The intern tables are rebuilt in
         the given order so ``callstack_id``/``label_id`` columns of
-        *table* keep their meaning.
+        *table* keep their meaning.  The trace holds *table* as it is
+        and records nothing: :meth:`add_samples` raises ``ValueError``.
         """
         trace = cls(metadata=dict(metadata or {}))
         for cs in callstacks:
@@ -707,7 +661,6 @@ class Trace:
         trace.objects.extend(objects)
         trace._table = table if table is not None else SampleTable.empty()
         trace._buf = None
-        trace._pending = None
         return trace
 
     @classmethod

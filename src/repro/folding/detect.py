@@ -75,7 +75,14 @@ class FoldInstances:
         """Drop instances whose duration deviates from the median by
         more than *tolerance* (relative)."""
         durations = self.durations_ns
-        median = float(np.median(durations))
+        # np.median's value without its first-call import of numpy.ma.
+        ordered = np.sort(durations)
+        mid = ordered.size // 2
+        median = float(
+            ordered[mid]
+            if ordered.size % 2
+            else (ordered[mid - 1] + ordered[mid]) / 2
+        )
         keep = np.abs(durations - median) <= tolerance * median
         if not keep.any():
             raise ValueError("outlier pruning removed every instance")

@@ -45,12 +45,13 @@ class LineTableBuilder:
 
     Feed call-stack ids through :meth:`intern`; line keys and region
     names are appended to :attr:`line_table`/:attr:`region_table` in
-    the order the ids are first seen, and :meth:`line_ids_of` /
-    :meth:`region_ids_of` map id arrays onto the tables with one
-    vectorized lookup.  The resident fold interns the trace's sorted
-    unique ids once; the streaming fold interns each chunk's unseen
-    ids as they arrive (chunk-invariant: an id's first appearance in a
-    time-ordered stream does not depend on the chunking).
+    the order the ids are first seen, and :meth:`ids_of` maps the
+    samples of one ``np.unique(..., return_inverse=True)`` onto the
+    tables with one gather each.  The resident fold interns the
+    trace's sorted unique ids once; the streaming fold interns each
+    chunk's unseen ids as they arrive (chunk-invariant: an id's first
+    appearance in a time-ordered stream does not depend on the
+    chunking).
     """
 
     def __init__(self, resolver) -> None:
@@ -79,19 +80,15 @@ class LineTableBuilder:
                 self.region_table.append(region)
             self._cs_region[cs_id] = self._region_lookup[region]
 
-    def _map(self, table: dict[int, int], cs_ids: np.ndarray) -> np.ndarray:
-        uniq = np.unique(np.asarray(cs_ids))
-        vals = np.array([table[int(i)] for i in uniq], dtype=np.int64)
-        # One fancy-indexed gather per sample instead of a Python loop.
-        return vals[np.searchsorted(uniq, np.asarray(cs_ids))]
-
-    def line_ids_of(self, cs_ids: np.ndarray) -> np.ndarray:
-        """Vectorized per-sample line ids (every id must be interned)."""
-        return self._map(self._cs_line, cs_ids)
-
-    def region_ids_of(self, cs_ids: np.ndarray) -> np.ndarray:
-        """Vectorized per-sample region ids."""
-        return self._map(self._cs_region, cs_ids)
+    def ids_of(
+        self, uniq: np.ndarray, inverse: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample (line ids, region ids) of the samples whose
+        call-stack ids are ``uniq[inverse]`` (every id interned)."""
+        ids = [int(i) for i in uniq]
+        line = np.array([self._cs_line[i] for i in ids], dtype=np.int64)
+        region = np.array([self._cs_region[i] for i in ids], dtype=np.int64)
+        return line[inverse], region[inverse]
 
 
 @dataclass
@@ -155,18 +152,18 @@ def fold_lines(folded: FoldedSamples, trace: Trace) -> FoldedLines:
     (second-to-leaf frame when the batch added a source-line leaf); the
     *line* is the leaf frame itself.
     """
-    table = folded.table
-    cs_ids = table.callstack_id
     # Intern the sorted unique ids (the historical table order), then
-    # map per-sample ids with one vectorized gather — the tables are
-    # built once per trace from O(unique call-stacks) Python work, and
-    # the per-sample loops are gone.
+    # map per-sample ids with one gather through the inverse — the
+    # tables are built once per trace from O(unique call-stacks)
+    # Python work.
+    uniq, inverse = np.unique(folded.table.callstack_id, return_inverse=True)
     builder = LineTableBuilder(trace.callstack)
-    builder.intern(np.unique(cs_ids))
+    builder.intern(uniq)
+    line_id, region_id = builder.ids_of(uniq, inverse)
     return FoldedLines(
         sigma=folded.sigma,
-        line_id=builder.line_ids_of(cs_ids),
+        line_id=line_id,
         line_table=builder.line_table,
-        region_id=builder.region_ids_of(cs_ids),
+        region_id=region_id,
         region_table=builder.region_table,
     )

@@ -641,10 +641,11 @@ class LineStream:
         # sorted-id order): an id's first appearance in the time-ordered
         # stream is a fixed position regardless of chunking, so the
         # table order is chunk-invariant.
-        uniq, first = np.unique(cs_ids, return_index=True)
+        uniq, first, inverse = np.unique(
+            cs_ids, return_index=True, return_inverse=True
+        )
         self.builder.intern(uniq[np.argsort(first, kind="stable")])
-        line_id = self.builder.line_ids_of(cs_ids)
-        region_id = self.builder.region_ids_of(cs_ids)
+        line_id, region_id = self.builder.ids_of(uniq, inverse)
         self._line_counts = self._grown(
             self._line_counts, len(self.builder.line_table)
         )

@@ -2,8 +2,7 @@
 
 This package deliberately holds only dependency-free building blocks:
 bit/alignment arithmetic (:mod:`repro.util.bitops`), deterministic RNG
-substreams (:mod:`repro.util.rng`), streaming statistics
-(:mod:`repro.util.stats`), address-range containers
+substreams (:mod:`repro.util.rng`), address-range containers
 (:mod:`repro.util.intervals`), isotonic regression
 (:mod:`repro.util.pava`) and plain-text table rendering
 (:mod:`repro.util.tables`).
@@ -13,14 +12,11 @@ from repro.util.bitops import align_down, align_up, ceil_div, ilog2, is_pow2
 from repro.util.intervals import AddressRangeMap, Interval
 from repro.util.pava import isotonic_fit, pava
 from repro.util.rng import RngStreams
-from repro.util.stats import Histogram, OnlineStats, weighted_quantile
 from repro.util.tables import format_table
 
 __all__ = [
     "AddressRangeMap",
-    "Histogram",
     "Interval",
-    "OnlineStats",
     "RngStreams",
     "align_down",
     "align_up",
@@ -30,5 +26,4 @@ __all__ = [
     "is_pow2",
     "isotonic_fit",
     "pava",
-    "weighted_quantile",
 ]

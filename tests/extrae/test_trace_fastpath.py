@@ -1,4 +1,4 @@
-"""Chunked recording + incremental consolidation ≡ the seed path.
+"""Columnar recording + in-place consolidation ≡ the seed path.
 
 The acquisition fast path must be bit-identical to what it replaced:
 per-block Python buffering with a global ``concatenate`` + stable
@@ -9,6 +9,7 @@ consolidation strategies.
 """
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ class TestDigestEquivalence:
             )
 
 
-# --- the merge branch (overlapping chunks) -----------------------------------
+# --- overlapping chunks, consolidated between appends ------------------------
 
 
 def make_block(times, seed=0, op=MemOp.LOAD, label="k"):
@@ -209,7 +210,7 @@ class TestLazyScalars:
         trace.add_samples(make_block([5.0, 30.0], seed=2), STACK)
         assert trace.duration_ns() == 30.0
         assert trace._table is None  # still unconsolidated
-        assert len(trace._pending) == 4
+        assert len(trace._buf) - trace._sorted_rows == 4
         assert float(trace.sample_table().time_ns.max()) == 30.0
 
     def test_n_samples_does_not_consolidate(self):
@@ -229,7 +230,7 @@ class TestLazyScalars:
         assert clone.digest() == trace.digest()
         assert clone.n_samples == trace.n_samples
 
-    def test_append_after_from_parts(self):
+    def test_loaded_and_rebuilt_traces_record_nothing(self, tmp_path):
         base = Trace()
         base.add_samples(make_block([1.0, 5.0], seed=1), STACK)
         rebuilt = Trace.from_parts(
@@ -237,9 +238,35 @@ class TestLazyScalars:
             callstacks=base.callstacks,
             table=base.sample_table(),
         )
-        assert rebuilt.n_samples == 2
-        rebuilt.add_samples(make_block([3.0, 9.0], seed=2), STACK)
-        assert rebuilt.n_samples == 4
-        t = rebuilt.sample_table().time_ns
-        np.testing.assert_array_equal(t, [1.0, 3.0, 5.0, 9.0])
-        assert rebuilt.duration_ns() == 9.0
+        with Trace.load(base.save(tmp_path / "t.bsctrace")) as loaded:
+            for trace in (rebuilt, loaded):
+                with pytest.raises(ValueError, match="finished table"):
+                    trace.add_samples(make_block([3.0, 9.0], seed=2), STACK)
+                assert trace.n_samples == 2
+                assert trace.duration_ns() == 5.0
+                assert trace.digest() == base.digest()
+
+
+# --- in-place consolidation: no second copy of the trace ---------------------
+
+
+def test_consolidation_allocates_index_and_one_column():
+    """Sorting ~400k out-of-order recorded rows allocates the argsort
+    index and one column at a time, not a second copy of every column."""
+    rng = np.random.default_rng(11)
+    trace = Trace()
+    for seed in range(4):
+        times = rng.uniform(0.0, 1e9, 100_000)
+        trace.add_samples(make_block(times, seed=seed), STACK)
+    n = trace.n_samples
+    widest = max(np.dtype(dt).itemsize for dt in _SAMPLE_COLUMNS.values())
+    bound = n * (np.dtype(np.intp).itemsize + widest)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = trace.sample_table()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.diff(table.time_ns) >= 0)
+    assert peak <= bound + (64 << 10), (peak, bound)

@@ -11,7 +11,9 @@ repository, the trace container and the Figure-1 analysis — imports no
 simulator: traces are read through the sample schema
 (:mod:`repro.extrae.schema`), which both sides share.  The runtime test
 checks that the reading commands and the service's fold jobs keep to
-that after dispatch, too.
+that after dispatch, too, and that a fold loads no ``numpy.ma``, which
+NumPy imports lazily from ``np.median`` and from a plain ``np.unique``
+(13-17 ms that would land in every process's first fold).
 """
 
 import json
@@ -125,13 +127,13 @@ _RUNTIME_PROBE = textwrap.dedent(
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    SIMULATOR = {simulator!r}
+    FORBIDDEN = {forbidden!r}
 
 
     def leaked():
         return sorted(
             name for name in sys.modules
-            if any(name == p or name.startswith(p + ".") for p in SIMULATOR)
+            if any(name == p or name.startswith(p + ".") for p in FORBIDDEN)
         )
 
 
@@ -149,6 +151,7 @@ _RUNTIME_PROBE = textwrap.dedent(
 
         with contextlib.redirect_stdout(io.StringIO()):
             assert main_fold([golden, "-o", tmp + "/folded"]) == 0
+            after_fold = leaked()
             assert main_trace(["info", golden]) == 0
             assert main_repo(["--root", root, "put", golden]) == 0
             assert main_repo(["--root", root, "list"]) == 0
@@ -188,6 +191,7 @@ _RUNTIME_PROBE = textwrap.dedent(
                  tmp + "/cache-forkserver"),
             ).result()
         print(json.dumps({{
+            "after_fold": after_fold,
             "after_commands": after_commands,
             "after_jobs": leaked(),
             "added_by_jobs": added,
@@ -201,12 +205,14 @@ _RUNTIME_PROBE = textwrap.dedent(
 def test_reading_commands_and_fold_jobs_load_no_simulator(tmp_path):
     """After dispatch, too: ``fold``, ``trace info``, ``repo list`` and
     the service's fold jobs (resident and streamed, in-process and in
-    a ``forkserver`` worker) load no simulator module, and the jobs
-    import no ``repro`` module the server had not imported before
-    forking its pool, so a worker's first cold fold compiles nothing."""
+    a ``forkserver`` worker) load no simulator module and no
+    ``numpy.ma``, and the jobs import no ``repro`` module the server
+    had not imported before forking its pool, so a worker's first cold
+    fold compiles nothing."""
     probe = tmp_path / "probe.py"
-    probe.write_text(_RUNTIME_PROBE.format(simulator=SIMULATOR))
+    probe.write_text(_RUNTIME_PROBE.format(forbidden=(*SIMULATOR, "numpy.ma")))
     out = json.loads(_run_python(str(probe), str(GOLDEN), str(tmp_path)))
+    assert out["after_fold"] == []
     assert out["after_commands"] == []
     assert out["after_jobs"] == []
     assert out["added_by_jobs"] == []
