@@ -104,6 +104,16 @@ def _sigma_bin(sigma: np.ndarray, bins: int) -> np.ndarray:
     )
 
 
+def _tally(counts: np.ndarray, rows: np.ndarray, cols: np.ndarray | None = None) -> None:
+    """Add one to the integer *counts* at each ``rows`` (1-D) or
+    ``(rows, cols)`` (2-D) index: ``np.add.at(counts, index, 1)`` as one
+    ``np.bincount`` of the row-major flat index.  Integer sums are exact
+    in any order, so the two agree bit for bit.  The σ-bin and band
+    columns are clamped in range; a row past the end raises."""
+    flat = rows if cols is None else rows * counts.shape[1] + cols
+    counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
+
+
 def _key_order(table: list) -> np.ndarray:
     """Row indices of *table* in sorted-key order."""
     return np.array(sorted(range(len(table)), key=table.__getitem__), dtype=np.int64)
@@ -184,12 +194,14 @@ class AddressAccounting:
         obj = np.asarray(object_index, dtype=np.int64)
         unmatched_row = self.object_counts.size - 1
         slot = np.where(obj >= 0, obj, unmatched_row)
-        np.add.at(self.object_counts, slot, 1)
-        np.add.at(self.object_loads, slot[op == int(MemOp.LOAD)], 1)
-        np.add.at(self.object_stores, slot[op == int(MemOp.STORE)], 1)
+        _tally(self.object_counts, slot)
+        _tally(self.object_loads, slot[op == int(MemOp.LOAD)])
+        _tally(self.object_stores, slot[op == int(MemOp.STORE)])
+        # A float sum depends on its addition order: np.add.at adds in
+        # element order, so chunk after chunk replays the resident sum.
         np.add.at(self.object_latency, slot, latency)
-        np.add.at(self.source_counts, source, 1)
-        np.add.at(self.op_counts, op, 1)
+        _tally(self.source_counts, source)
+        _tally(self.op_counts, op)
         self.n += int(op.size)
 
     def matched_fraction(self) -> float:
@@ -224,7 +236,6 @@ _COLUMN_DTYPES = {
     "latency": np.float64,
     "object_index": np.int64,
 }
-_RESERVOIR_COLUMNS = tuple(_COLUMN_DTYPES)
 
 
 class AddressReservoir:
@@ -249,8 +260,7 @@ class AddressReservoir:
         self._keys = np.empty(0, dtype=np.float64)
         self._index = np.empty(0, dtype=np.int64)
         self._cols = {
-            name: np.empty(0, dtype=_COLUMN_DTYPES[name])
-            for name in _RESERVOIR_COLUMNS
+            name: np.empty(0, dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()
         }
 
     def _keys_for(self, index: np.ndarray) -> np.ndarray:
@@ -265,24 +275,39 @@ class AddressReservoir:
         if not n:
             return
         index = start_index + np.arange(n, dtype=np.int64)
-        keys = np.concatenate([self._keys, self._keys_for(index)])
-        index = np.concatenate([self._index, index])
+        keys = self._keys_for(index)
+        rows = slice(None)
+        if self._keys.size == self.capacity:
+            # Full: only a row whose key reaches the smallest kept key
+            # can enter.  ``>=`` keeps a tied row in the pool, so the
+            # tie is settled by index whatever order the chunks come in.
+            rows = np.flatnonzero(keys >= self._keys.min())
+            if not rows.size:
+                return
+        keys = np.concatenate([self._keys, keys[rows]])
+        index = np.concatenate([self._index, index[rows]])
         cols = {
             name: np.concatenate(
-                [
-                    self._cols[name],
-                    np.asarray(columns[name]).astype(_COLUMN_DTYPES[name]),
-                ]
+                [self._cols[name], np.asarray(columns[name])[rows].astype(dtype)]
             )
-            for name in _RESERVOIR_COLUMNS
+            for name, dtype in _COLUMN_DTYPES.items()
         }
         if keys.size > self.capacity:
-            # Largest key first; global index breaks (improbable) ties
-            # so the selection is a pure function of (seed, indices).
-            order = np.lexsort((index, -keys))[: self.capacity]
-            keys, index = keys[order], index[order]
-            cols = {name: col[order] for name, col in cols.items()}
+            keep = self._top(keys, index)
+            keys, index = keys[keep], index[keep]
+            cols = {name: col[keep] for name, col in cols.items()}
         self._keys, self._index, self._cols = keys, index, cols
+
+    def _top(self, keys: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Positions of the top ``capacity`` by (key descending, global
+        index ascending), so the selection is a pure function of (seed,
+        indices): every key at or above the capacity-th largest, sorted
+        only when ties at that key leave more than ``capacity``."""
+        kth = keys.size - self.capacity
+        top = np.flatnonzero(keys >= np.partition(keys, kth)[kth])
+        if top.size > self.capacity:
+            top = top[np.lexsort((index[top], -keys[top]))[: self.capacity]]
+        return top
 
     def result(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """The surviving samples in stream order: ``(kept_index,
@@ -349,10 +374,8 @@ class DensitySketch:
     def add(self, sigma: np.ndarray, address: np.ndarray) -> None:
         if not np.asarray(sigma).size:
             return
-        np.add.at(
-            self.counts,
-            (self.band_of(address), _sigma_bin(sigma, self.sigma_bins)),
-            1,
+        _tally(
+            self.counts, self.band_of(address), _sigma_bin(sigma, self.sigma_bins)
         )
 
     def band_edges(self) -> np.ndarray:
@@ -653,8 +676,8 @@ class LineStream:
             self._region_counts, len(self.builder.region_table)
         )
         sbin = _sigma_bin(sigma, self.sigma_bins)
-        np.add.at(self._line_counts, (line_id, sbin), 1)
-        np.add.at(self._region_counts, (region_id, sbin), 1)
+        _tally(self._line_counts, line_id, sbin)
+        _tally(self._region_counts, region_id, sbin)
 
     def result(self) -> StreamedLines:
         return StreamedLines(
@@ -676,8 +699,8 @@ def lines_from_folded(
     )
     if lines.n:
         sbin = _sigma_bin(lines.sigma, sigma_bins)
-        np.add.at(line_counts, (lines.line_id, sbin), 1)
-        np.add.at(region_counts, (lines.region_id, sbin), 1)
+        _tally(line_counts, lines.line_id, sbin)
+        _tally(region_counts, lines.region_id, sbin)
     return StreamedLines(
         line_table=list(lines.line_table),
         region_table=list(lines.region_table),
