@@ -59,6 +59,10 @@ SIDECAR_MEMBER = "trace.json"
 #: Prefix of the per-column binary members.
 COLUMN_PREFIX = "columns/"
 
+#: Date of every member the v2 writer makes (the zip epoch), so a
+#: container's bytes depend on its content, not on when it was saved.
+MEMBER_DATE = (1980, 1, 1, 0, 0, 0)
+
 
 def _column_member(name: str) -> str:
     return f"{COLUMN_PREFIX}{name}.bin"
@@ -108,7 +112,7 @@ def write_columns(
         arr = np.ascontiguousarray(arr)
         if arr.dtype.byteorder == ">":  # pragma: no cover - big-endian host
             arr = arr.astype(arr.dtype.newbyteorder("<"))
-        info = zipfile.ZipInfo(_column_member(name), date_time=(1980, 1, 1, 0, 0, 0))
+        info = zipfile.ZipInfo(_column_member(name), date_time=MEMBER_DATE)
         info.compress_type = compress_type
         info.file_size = arr.nbytes
         with zf.open(info, "w", force_zip64=True) as f:

@@ -50,6 +50,7 @@ from repro.extrae.index import TraceIndex
 from repro.extrae.memalloc import ObjectRecord
 from repro.extrae.schema import SAMPLE_COUNTERS, SampleBlock
 from repro.extrae.storage import (
+    MEMBER_DATE,
     SIDECAR_MEMBER,
     TRACE_COMPRESSIONS,
     ColumnReader,
@@ -629,7 +630,12 @@ class Trace:
             sidecar = self._sidecar(schema=2)
             sidecar["columns"] = manifest
             sidecar["compression"] = compression
-            zf.writestr(SIDECAR_MEMBER, json.dumps(sidecar))
+            # Dated like the columns; compression and attributes as
+            # ``writestr(name, ...)`` would give them.
+            info = zipfile.ZipInfo(SIDECAR_MEMBER, date_time=MEMBER_DATE)
+            info.compress_type = zip_compression
+            info.external_attr = 0o600 << 16
+            zf.writestr(info, json.dumps(sidecar))
         return path
 
     @classmethod

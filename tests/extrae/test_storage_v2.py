@@ -3,6 +3,8 @@
 import json
 import mmap
 import os
+import time
+import types
 import zipfile
 
 import numpy as np
@@ -47,6 +49,31 @@ class TestRoundTrip:
         assert loaded.n_samples == traced.n_samples
         assert loaded.labels == traced.labels
         assert len(loaded.events) == len(traced.events)
+
+    @pytest.mark.parametrize("compression", ["none", "deflate"])
+    def test_save_bytes_do_not_depend_on_the_clock(
+        self, traced, tmp_path, monkeypatch, compression
+    ):
+        """Every member, the sidecar too, carries one fixed date, so two
+        saves of one trace at different times write the same bytes."""
+        saved = []
+        for when in (1_600_000_000.0, 1_700_000_000.0):
+            clock = types.SimpleNamespace(
+                time=lambda when=when: when, localtime=time.localtime
+            )
+            monkeypatch.setattr(zipfile, "time", clock)
+            path = tmp_path / f"t_{when:.0f}.bsctrace"
+            traced.save(path, compression=compression)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+        with zipfile.ZipFile(path) as zf:
+            dates = {info.date_time for info in zf.infolist()}
+            sidecar = zf.getinfo("trace.json")
+        assert dates == {(1980, 1, 1, 0, 0, 0)}
+        assert sidecar.external_attr == 0o600 << 16
+        assert sidecar.compress_type == (
+            zipfile.ZIP_DEFLATED if compression == "deflate" else zipfile.ZIP_STORED
+        )
 
     def test_v1_to_v2_is_stable(self, tmp_path):
         """The committed v1 container reads as its golden twin, column
