@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.extrae.events import EventKind
 from repro.extrae.trace import Trace
-from repro.folding.detect import FoldInstances
+from repro.folding.detect import FoldInstances, sorted_median
 from repro.folding.fold import FoldedSamples
 
 __all__ = ["IterationPhases", "Phase", "segment_iteration"]
@@ -204,11 +204,12 @@ def _split_sweeps(folded: FoldedSamples, phase: Phase) -> float | None:
     sig = sigma[in_phase]
     # The forward sweep occupies the early part: its last sample's σ is
     # the boundary.  Identify the forward label as the one whose σ
-    # median is smaller.
-    ids = np.unique(labels)
+    # median is smaller.  (``return_counts`` and the sorted median keep
+    # ``numpy.ma`` unimported, as on the fold path.)
+    ids, _ = np.unique(labels, return_counts=True)
     if ids.size < 2:
         return None
-    medians = {int(i): float(np.median(sig[labels == i])) for i in ids}
+    medians = {int(i): sorted_median(sig[labels == i]) for i in ids}
     first = min(medians, key=medians.get)
     boundary = float(sig[labels == first].max())
     if not phase.lo < boundary < phase.hi:

@@ -21,7 +21,18 @@ __all__ = [
     "fold_instances",
     "instances_from_iterations",
     "instances_from_regions",
+    "sorted_median",
 ]
+
+
+def sorted_median(values: np.ndarray) -> float:
+    """``np.median(values)`` from a sorted copy, without the import of
+    ``numpy.ma`` that ``np.median`` makes on its first call."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    return float(
+        ordered[mid] if ordered.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+    )
 
 
 @dataclass(frozen=True)
@@ -75,14 +86,7 @@ class FoldInstances:
         """Drop instances whose duration deviates from the median by
         more than *tolerance* (relative)."""
         durations = self.durations_ns
-        # np.median's value without its first-call import of numpy.ma.
-        ordered = np.sort(durations)
-        mid = ordered.size // 2
-        median = float(
-            ordered[mid]
-            if ordered.size % 2
-            else (ordered[mid - 1] + ordered[mid]) / 2
-        )
+        median = sorted_median(durations)
         keep = np.abs(durations - median) <= tolerance * median
         if not keep.any():
             raise ValueError("outlier pruning removed every instance")

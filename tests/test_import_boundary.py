@@ -218,3 +218,38 @@ def test_reading_commands_and_fold_jobs_load_no_simulator(tmp_path):
     assert out["added_by_jobs"] == []
     assert out["folded"] == [True, False, False, True]
     assert out["worker"] == []
+
+
+_FIGURE1_PROBE = textwrap.dedent(
+    """
+    import json, sys
+
+    from repro.analysis.figures import build_figure1
+    from repro.extrae.trace import Trace
+    from repro.folding.report import fold_trace
+
+    path, out = sys.argv[1], sys.argv[2]
+    figure = build_figure1(fold_trace(Trace.load(path)))
+    figure.render()
+    written = figure.export(out)
+    print(json.dumps({
+        "loaded": sorted(sys.modules),
+        "phases": list(figure.phases.major_sequence()),
+        "written": len(written),
+    }))
+    """
+)
+
+
+def test_figure1_report_loads_no_numpy_ma(hpcg_trace, tmp_path):
+    """The Figure-1 report step — fold a saved HPCG container, build,
+    render and export Figure 1 — loads no simulator module and no
+    ``numpy.ma`` (the phase split's per-label median and unique ids
+    included)."""
+    container = hpcg_trace.save(tmp_path / "hpcg.bsctrace")
+    probe = tmp_path / "figure1.py"
+    probe.write_text(_FIGURE1_PROBE)
+    out = json.loads(_run_python(str(probe), str(container), str(tmp_path / "fig")))
+    assert out["phases"] == ["A", "B", "C", "D", "E"]
+    assert out["written"] > 0
+    assert _leaked(out["loaded"], (*SIMULATOR, "numpy.ma")) == []
