@@ -8,9 +8,10 @@ three-direction report fits in O(chunk + summary) memory.
 Each direction keeps a different kind of bounded state:
 
 * **Address, exact part** — :class:`AddressAccounting`: per-object,
-  per-source and per-op counts plus per-object latency sums.  All sums
-  are additive in stream order, so the chunked accumulation is
-  bit-identical to the resident fold (verified by digest).
+  per-source and per-op counts plus per-object latency sums.  The
+  counts are integer sums, exact in any order; the latency sums add in
+  stream order.  Either way the chunked accumulation is bit-identical
+  to the resident fold (verified by digest).
 * **Address, scatter part** — the full (σ, address) scatter is O(kept
   samples), so it cannot be held exactly.  Two bounded summaries stand
   in for it: a deterministic seeded uniform reservoir
@@ -21,7 +22,8 @@ Each direction keeps a different kind of bounded state:
   top-``capacity`` samples under a hash-seeded key (Efraimidis–Spirakis
   A-Res), and the sketch is a sum of non-negative integers.  Their
   fidelity against the resident scatter is *measured*, not assumed
-  (:func:`measure_address_fidelity`).
+  (:func:`measure_address_fidelity`).  Once full, the reservoir reads
+  a chunk's keys and copies only the few rows that can enter.
 * **Lines** — per-chunk ``np.unique(callstack_id)`` feeds a persistent
   :class:`~repro.folding.lines.LineTableBuilder`, and the per-sample
   points collapse into fixed (line × σ-bin) and (region × σ-bin) count
@@ -32,7 +34,9 @@ Each direction keeps a different kind of bounded state:
 The driver lives in :func:`repro.folding.stream.stream_fold_trace`
 (``directions=("counters", "address", "lines")``); this module holds
 the per-direction accumulators and the combined
-:class:`StreamedReport` product.
+:class:`StreamedReport` product.  Every integer count is tallied with
+one ``np.bincount`` per chunk (:func:`_tally`); only the float sums,
+whose bits depend on their addition order, use ``np.add.at``.
 """
 
 from __future__ import annotations
@@ -104,7 +108,9 @@ def _sigma_bin(sigma: np.ndarray, bins: int) -> np.ndarray:
     )
 
 
-def _tally(counts: np.ndarray, rows: np.ndarray, cols: np.ndarray | None = None) -> None:
+def _tally(
+    counts: np.ndarray, rows: np.ndarray, cols: np.ndarray | None = None
+) -> None:
     """Add one to the integer *counts* at each ``rows`` (1-D) or
     ``(rows, cols)`` (2-D) index: ``np.add.at(counts, index, 1)`` as one
     ``np.bincount`` of the row-major flat index.  Integer sums are exact
@@ -250,6 +256,13 @@ class AddressReservoir:
     top-``capacity`` regardless of how the stream was chunked —
     bit-identical across chunk sizes — and a uniform sample, faithful
     to point density.
+
+    Once the reservoir is full, a chunk's rows whose key is below the
+    smallest kept key cannot enter, so only the rest are cast and
+    pooled with the kept points.  The pool keeps its top ``capacity``
+    by (key descending, global index ascending): ``np.partition`` finds
+    the capacity-th largest key, and the rows at or above it are
+    lexsorted only when ties there leave more than ``capacity``.
     """
 
     def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int = 0) -> None:
@@ -300,9 +313,7 @@ class AddressReservoir:
 
     def _top(self, keys: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Positions of the top ``capacity`` by (key descending, global
-        index ascending), so the selection is a pure function of (seed,
-        indices): every key at or above the capacity-th largest, sorted
-        only when ties at that key leave more than ``capacity``."""
+        index ascending): a pure function of (seed, indices)."""
         kth = keys.size - self.capacity
         top = np.flatnonzero(keys >= np.partition(keys, kth)[kth])
         if top.size > self.capacity:
