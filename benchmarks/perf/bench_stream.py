@@ -18,6 +18,12 @@ under the memory probe:
 Each streamed peak is gated at ``MIN_MEM_RATIO`` below the resident
 peak (tracemalloc high-water marks; the streamed reader reads fresh
 arrays rather than mapping, so its chunks are visible to tracemalloc).
+The report's cost is timed against the counters-only fold's
+(``report_vs_counters``: counters-only seconds over report seconds,
+gated at ``MIN_REPORT_VS_COUNTERS``), outside the memory probe,
+because tracemalloc slows the report's allocation-heavy side more
+than the counters-only fold.
+
 The ratios only count if the streamed products are exact, so every
 exact product is always checked against the resident fold: counter
 curves of both streamed folds, address accounting, line matrices and
@@ -57,6 +63,11 @@ ITERATIONS = 16
 PERIOD = 10
 MIN_MEM_RATIO = 4
 MAX_BAND_ERROR = 0.02
+#: timed pairs of the seconds-long counters-only and report folds
+PAIRS = 3
+#: the report may take at most about 2.2x the counters-only fold: its
+#: address and line directions cost their column reads and exact sums
+MIN_REPORT_VS_COUNTERS = 0.45
 
 
 def make_trace_file(tmp: Path) -> tuple[Path, int]:
@@ -113,6 +124,12 @@ def measure(bench) -> dict:
         counters, counters_peak = bench.probe(lambda: stream_fold_trace(path))
         report, report_peak = bench.probe(
             lambda: stream_fold_trace(path, directions=DIRECTIONS)
+        )
+        bench.time_ratio(
+            "report_vs_counters",
+            lambda: stream_fold_trace(path),
+            lambda: stream_fold_trace(path, directions=DIRECTIONS),
+            pairs=PAIRS, floor=MIN_REPORT_VS_COUNTERS,
         )
         file_bytes = path.stat().st_size
 
