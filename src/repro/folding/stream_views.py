@@ -23,7 +23,7 @@ Each direction keeps a different kind of bounded state:
   A-Res), and the sketch is a sum of non-negative integers.  Their
   fidelity against the resident scatter is *measured*, not assumed
   (:func:`measure_address_fidelity`).  Once full, the reservoir reads
-  a chunk's keys and copies only the few rows that can enter.
+  a chunk's keys and copies only the few rows that enter.
 * **Lines** — per-chunk ``np.unique(callstack_id)`` feeds a persistent
   :class:`~repro.folding.lines.LineTableBuilder`, and the per-sample
   points collapse into fixed (line × σ-bin) and (region × σ-bin) count
@@ -258,11 +258,13 @@ class AddressReservoir:
     to point density.
 
     Once the reservoir is full, a chunk's rows whose key is below the
-    smallest kept key cannot enter, so only the rest are cast and
-    pooled with the kept points.  The pool keeps its top ``capacity``
-    by (key descending, global index ascending): ``np.partition`` finds
-    the capacity-th largest key, and the rows at or above it are
-    lexsorted only when ties there leave more than ``capacity``.
+    smallest kept key cannot enter, so only the rest are pooled with the
+    kept points.  The pool keeps its top ``capacity`` by (key
+    descending, global index ascending): ``np.partition`` finds the
+    capacity-th largest key, and the rows at or above it are lexsorted
+    only when ties there leave more than ``capacity``.  The points live
+    in fixed slots: a survivor keeps its slot and an entering row takes
+    an evicted point's, so only the entering rows are gathered and cast.
     """
 
     def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int = 0) -> None:
@@ -270,10 +272,12 @@ class AddressReservoir:
             raise ValueError("reservoir capacity must be positive")
         self.capacity = int(capacity)
         self.seed = int(seed)
-        self._keys = np.empty(0, dtype=np.float64)
-        self._index = np.empty(0, dtype=np.int64)
+        self._held = 0
+        self._keys = np.empty(self.capacity, dtype=np.float64)
+        self._index = np.empty(self.capacity, dtype=np.int64)
         self._cols = {
-            name: np.empty(0, dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()
+            name: np.empty(self.capacity, dtype=dtype)
+            for name, dtype in _COLUMN_DTYPES.items()
         }
 
     def _keys_for(self, index: np.ndarray) -> np.ndarray:
@@ -287,45 +291,51 @@ class AddressReservoir:
         n = int(np.asarray(columns["sigma"]).size)
         if not n:
             return
-        index = start_index + np.arange(n, dtype=np.int64)
-        keys = self._keys_for(index)
-        rows = slice(None)
-        if self._keys.size == self.capacity:
+        held = self._held
+        keys = self._keys_for(start_index + np.arange(n, dtype=np.int64))
+        if held == self.capacity:
             # Full: only a row whose key reaches the smallest kept key
             # can enter.  ``>=`` keeps a tied row in the pool, so the
             # tie is settled by index whatever order the chunks come in.
             rows = np.flatnonzero(keys >= self._keys.min())
-            if not rows.size:
-                return
-        keys = np.concatenate([self._keys, keys[rows]])
-        index = np.concatenate([self._index, index[rows]])
-        cols = {
-            name: np.concatenate(
-                [self._cols[name], np.asarray(columns[name])[rows].astype(dtype)]
-            )
-            for name, dtype in _COLUMN_DTYPES.items()
-        }
-        if keys.size > self.capacity:
-            keep = self._top(keys, index)
-            keys, index = keys[keep], index[keep]
-            cols = {name: col[keep] for name, col in cols.items()}
-        self._keys, self._index, self._cols = keys, index, cols
+        else:
+            rows = np.arange(n)
+        keep = self._top(
+            np.concatenate([self._keys[:held], keys[rows]]),
+            np.concatenate([self._index[:held], start_index + rows]),
+        )
+        stay = np.searchsorted(keep, held)
+        enter = rows[keep[stay:] - held]
+        # Slots [0, len(keep)) end up held: the survivors' and, for the
+        # entering rows, the evicted points' and the never-used ones.
+        free = np.ones(keep.size, dtype=bool)
+        free[keep[:stay]] = False
+        slots = np.flatnonzero(free)
+        self._keys[slots] = keys[enter]
+        self._index[slots] = start_index + enter
+        for name, col in self._cols.items():
+            col[slots] = np.asarray(columns[name])[enter]
+        self._held = keep.size
 
     def _top(self, keys: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Positions of the top ``capacity`` by (key descending, global
-        index ascending): a pure function of (seed, indices)."""
+        """Ascending positions of the top ``capacity`` by (key
+        descending, global index ascending): a pure function of (seed,
+        indices)."""
+        if keys.size <= self.capacity:
+            return np.arange(keys.size)
         kth = keys.size - self.capacity
         top = np.flatnonzero(keys >= np.partition(keys, kth)[kth])
         if top.size > self.capacity:
-            top = top[np.lexsort((index[top], -keys[top]))[: self.capacity]]
+            top = np.sort(top[np.lexsort((index[top], -keys[top]))[: self.capacity]])
         return top
 
     def result(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """The surviving samples in stream order: ``(kept_index,
         columns)``."""
-        order = np.argsort(self._index, kind="stable")
-        return self._index[order], {
-            name: col[order] for name, col in self._cols.items()
+        held = self._held
+        order = np.argsort(self._index[:held], kind="stable")
+        return self._index[:held][order], {
+            name: col[:held][order] for name, col in self._cols.items()
         }
 
 
