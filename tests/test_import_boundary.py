@@ -11,9 +11,10 @@ repository, the trace container and the Figure-1 analysis — imports no
 simulator: traces are read through the sample schema
 (:mod:`repro.extrae.schema`), which both sides share.  The runtime test
 checks that the reading commands and the service's fold jobs keep to
-that after dispatch, too, and that a fold loads no ``numpy.ma``, which
-NumPy imports lazily from ``np.median`` and from a plain ``np.unique``
-(13-17 ms that would land in every process's first fold).
+that after dispatch, too, and that a fold, and the Figure-1 report
+built from it, load no ``numpy.ma``, which NumPy imports lazily from
+``np.median`` and from a plain ``np.unique`` (13-17 ms that would land
+in every process's first fold).
 """
 
 import json
